@@ -29,7 +29,7 @@ from .network import build_complementary_network, sample_network
 from .rng import replicate_seed
 from .simulator import (
     SimulationConfig,
-    compensators,
+    compensators,  # noqa: F401  (bench/tracer.py spans analysis.compensators)
     extract_martingale_paths,
     simulate_thinning,
     simulate_time_change,
@@ -582,7 +582,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         net = fixed_net if complementary else sample_network(n, p, q, rs)
         cfg = SimulationConfig(horizon=horizon, seed=rs, scaling="critical",
                                dt=dt, tracked_vertices=(0, 1),
-                               record_full=True, record_mean_rate=True)
+                               record_full=True)
         res = _simulate(backend, net, kernel, transfer, cfg)
         paths = extract_martingale_paths(res, vertices=(0, 1))
         ident = np.max(np.abs(paths.m_per_vertex
@@ -595,7 +595,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         if grid is None:
             grid = paths.grid
             stride = _downsample_stride(grid)
-        comp = compensators(res)
+        comp = paths.compensators
         centered0 = net.adjacency[:, 0].astype(np.float64) - net.q
         centered1 = net.adjacency[:, 1].astype(np.float64) - net.q
         predictable = (centered0**2 @ comp) / n

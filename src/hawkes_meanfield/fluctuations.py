@@ -109,41 +109,55 @@ def _integrate_chunk(kernel, transfer, mean_path, p, q, w, w_tilde, db,
     spread = math.sqrt(q * (1.0 - q))
     sqdt = math.sqrt(dt)
 
-    kbar = np.zeros((size, m + 1))
-    k = np.zeros((size, n_vertices, m + 1))
+    # running state at the current grid time; the (S, M+1) and (S, n, M+1)
+    # path arrays exist only when the caller keeps the paths
+    kbar_now = np.zeros(size)
+    k_now = np.zeros((size, n_vertices))
+    if keep_paths:
+        kbar = np.zeros((size, m + 1))
+        k = np.zeros((size, n_vertices, m + 1))
     if kernel.is_exponential:
         decay = math.exp(-kernel.rate * dt)
         for j in range(m):
             dgbar = q * (w * h_left[j] * dt
-                         + drift_gain * hp_left[j] * kbar[:, j] * dt
+                         + drift_gain * hp_left[j] * kbar_now * dt
                          + root_h[j] * sqdt * db[:, j])
-            kbar[:, j + 1] = decay * (kbar[:, j] + dgbar)
+            kbar_now = decay * (kbar_now + dgbar)
             if n_vertices:
                 dg = dgbar[:, None] + spread * (
                     w_tilde * h_left[j] * dt
                     + root_h[j] * sqdt * db_tilde[:, :, j])
-                k[:, :, j + 1] = decay * (k[:, :, j] + dg)
+                k_now = decay * (k_now + dg)
+            if keep_paths:
+                kbar[:, j + 1] = kbar_now
+                k[:, :, j + 1] = k_now
     else:
         dgbar_all = np.empty((size, m))
         dg_all = np.empty((size, n_vertices, m))
         phi = kernel.grid_values(dt, m)
         for j in range(m):
             dgbar = q * (w * h_left[j] * dt
-                         + drift_gain * hp_left[j] * kbar[:, j] * dt
+                         + drift_gain * hp_left[j] * kbar_now * dt
                          + root_h[j] * sqdt * db[:, j])
             dgbar_all[:, j] = dgbar
             if n_vertices:
                 dg_all[:, :, j] = dgbar[:, None] + spread * (
                     w_tilde * h_left[j] * dt
                     + root_h[j] * sqdt * db_tilde[:, :, j])
-            # K at t_{j+1} sums phi(t_{j+1} - t_r) dG_r over r <= j
+            # K at t_{j+1} sums phi(t_{j+1} - t_r) dG_r over r <= j; the
+            # vertex components feed no drift, so without stored paths only
+            # their terminal sum is formed
             weights = phi[j + 1:0:-1]
-            kbar[:, j + 1] = dgbar_all[:, :j + 1] @ weights
-            if n_vertices:
-                k[:, :, j + 1] = dg_all[:, :, :j + 1] @ weights
+            kbar_now = dgbar_all[:, :j + 1] @ weights
+            if keep_paths:
+                kbar[:, j + 1] = kbar_now
+                if n_vertices:
+                    k[:, :, j + 1] = dg_all[:, :, :j + 1] @ weights
+        if n_vertices and not keep_paths:
+            k_now = dg_all @ phi[m:0:-1]
     if keep_paths:
         return kbar, k
-    return kbar[:, -1], k[:, :, -1]
+    return kbar_now, k_now
 
 
 def simulate_fluctuations(mean_path: IntensityPath, kernel: Kernel,

@@ -14,10 +14,15 @@ neither may delegate its event loop to the other.
 
 For the exponential kernel the per-vertex input S is kept as one lazily
 decayed vector (all components share the decay factor, so a single sync time
-suffices).  Any other kernel falls back to windowed re-evaluation of the
-spike history, truncated where phi drops below 1e-12 of its sup.
+suffices).  Grid recording follows the same idea: when an accepted event
+crosses grid points, the loop stores the undecayed state with its sync time,
+and one pass after the loop decays every recorded column to its grid time.
+Recorded values are left limits.  Any other kernel falls back to windowed
+re-evaluation of the spike history, truncated where phi drops below 1e-12 of
+its sup.
 """
 
+import bisect
 import heapq
 import json
 import math
@@ -87,10 +92,6 @@ class SimulationConfig:
     def theta(self, n: int) -> float:
         return 1.0 / n if self.scaling == "mean_field" else 1.0 / math.sqrt(n)
 
-    def grid(self) -> np.ndarray:
-        g, _ = _resolve_grid(float(self.horizon), self.dt)
-        return g
-
 
 @dataclass(frozen=True)
 class SpikeTrains:
@@ -148,43 +149,58 @@ class SimulationResult:
 
 
 class _Recorder:
-    """Lazy grid recorder for the exponential fast path.
+    """Grid recorder for the exponential fast path.
 
     Values at grid points are the left limits of the input: a grid point that
-    coincides with an event time gets the pre-jump state.
+    coincides with an event time gets the pre-jump state.  At a grid crossing
+    the event loop hands over the undecayed state and its sync time; fill_to
+    stores them as they are, and one finish(rate) after the loop multiplies
+    every recorded column by exp(-rate * (g - sync)).  mean_rate is the
+    exception: h is not linear, so fill_to takes it from the decayed state at
+    the crossing.  The history loops write final values through _fill_history
+    and never call finish.
     """
 
     def __init__(self, grid, tracked, n, transfer, record_mean_rate, record_full):
         self.grid = grid
+        self.grid_list = grid.tolist()
         self.m1 = len(grid)
         self.tracked = np.asarray(tracked, dtype=np.int64)
         self.tracked_paths = np.zeros((len(self.tracked), self.m1))
         self.mean_input = np.zeros(self.m1)
         self.mean_rate = np.zeros(self.m1) if record_mean_rate else None
         self.full = np.zeros((n, self.m1)) if record_full else None
+        self.sync = np.zeros(self.m1)
         self.transfer = transfer
         self.next_idx = 0
         self.next_t = float(grid[0])
 
     def fill_to(self, t, state, t_sync, rate):
-        """Record every pending grid point g <= t from the decayed state."""
-        if self.next_idx >= self.m1 or t < self.next_t:
-            return
-        j = int(np.searchsorted(self.grid, t, side="right"))
-        sl = slice(self.next_idx, j)
-        gsl = self.grid[sl]
-        decays = np.exp(-rate * (gsl - t_sync))
-        if self.tracked.size:
-            self.tracked_paths[:, sl] = state[self.tracked, None] * decays[None, :]
-        self.mean_input[sl] = state.mean() * decays
-        if self.full is not None or self.mean_rate is not None:
-            block = state[:, None] * decays[None, :]
-            if self.full is not None:
-                self.full[:, sl] = block
-            if self.mean_rate is not None:
-                self.mean_rate[sl] = self.transfer(block).mean(axis=0)
+        """Store the undecayed state for every pending grid point g <= t.
+
+        Callers test t >= next_t first; the loops do so inline.
+        """
+        a = self.next_idx
+        j = bisect.bisect_right(self.grid_list, t, a)
+        self.tracked_paths[:, a:j] = state[self.tracked, None]
+        self.mean_input[a:j] = state.mean()
+        self.sync[a:j] = t_sync
+        if self.full is not None:
+            self.full[:, a:j] = state[:, None]
+        if self.mean_rate is not None:
+            decays = np.exp(-rate * (self.grid[a:j] - t_sync))
+            self.mean_rate[a:j] = self.transfer(
+                state[:, None] * decays[None, :]).mean(axis=0)
         self.next_idx = j
-        self.next_t = float(self.grid[j]) if j < self.m1 else math.inf
+        self.next_t = self.grid_list[j] if j < self.m1 else math.inf
+
+    def finish(self, rate):
+        """Decay every recorded value from its sync time to its grid time."""
+        decays = np.exp(-rate * (self.grid - self.sync))
+        self.tracked_paths *= decays
+        self.mean_input *= decays
+        if self.full is not None:
+            self.full *= decays
 
 
 def _validate(net, kernel, transfer, cfg):
@@ -278,7 +294,8 @@ def _thinning_exponential(net, kernel, transfer, cfg):
                         if t >= horizon:
                             done = True
                             break
-                    rec.fill_to(t, state, t_sync, lam)
+                    if t >= rec.next_t:
+                        rec.fill_to(t, state, t_sync, lam)
                     state *= math.exp(-lam * (t - t_sync))
                     state += signed[i]
                     t_sync = t
@@ -286,6 +303,7 @@ def _thinning_exponential(net, kernel, transfer, cfg):
                     trains[i].append(t)
                     diagnostics["events"] += 1
     rec.fill_to(horizon, state, t_sync, lam)
+    rec.finish(lam)
     return _finalize(net, kernel, transfer, cfg, "thinning", grid, rec, trains,
                      diagnostics)
 
@@ -345,7 +363,8 @@ def _time_change_exponential(net, kernel, transfer, cfg):
                     te = math.nextafter(te, math.inf)
                     diagnostics["ties_nudged"] += 1
                 if te < horizon:
-                    rec.fill_to(te, state, t_sync, lam)
+                    if te >= rec.next_t:
+                        rec.fill_to(te, state, t_sync, lam)
                     state *= math.exp(-lam * (te - t_sync))
                     state += signed[i]
                     t_sync = te
@@ -356,6 +375,7 @@ def _time_change_exponential(net, kernel, transfer, cfg):
             if nxt < horizon:
                 heapq.heappush(heap, (nxt, i))
     rec.fill_to(horizon, state, t_sync, lam)
+    rec.finish(lam)
     return _finalize(net, kernel, transfer, cfg, "time_change", grid, rec,
                      trains, diagnostics)
 
@@ -566,10 +586,15 @@ def compensators(result: SimulationResult) -> np.ndarray:
     """
     if result.full_input is None:
         raise RecordingMissingError("compensators need record_full=True")
+    return _rates_and_compensators(result)[1]
+
+
+def _rates_and_compensators(result):
+    """(h(full_input), its trapezoid running integral) on the grid."""
     rates = result.transfer(result.full_input)
     if len(result.grid) < 2:
-        return np.zeros_like(rates)
-    return cumulative_trapezoid(rates, result.grid, axis=1, initial=0.0)
+        return rates, np.zeros_like(rates)
+    return rates, cumulative_trapezoid(rates, result.grid, axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -585,7 +610,9 @@ class MartingalePaths:
     vertex-averaged rate path with running integral hbar_int.  brackets maps
     ordered pairs of tracked positions to realized quadratic covariations
     [m_tilde_k, m_tilde_l] on the grid; bracket_mean is [M, M] up to the
-    sign squares, i.e. the mean counting path.
+    sign squares, i.e. the mean counting path.  compensators holds the
+    per-vertex paths int_0^t h(S_j(s)) ds, (n, len(grid)), the same array
+    compensators(result) returns.
     """
 
     grid: np.ndarray
@@ -601,6 +628,7 @@ class MartingalePaths:
     hbar_int: np.ndarray
     brackets: dict
     bracket_mean: np.ndarray
+    compensators: np.ndarray
 
 
 def extract_martingale_paths(result: SimulationResult,
@@ -624,11 +652,12 @@ def extract_martingale_paths(result: SimulationResult,
         if not (0 <= v < n):
             raise ParameterError(f"vertex {v} outside 0..{n - 1}")
     grid = result.grid
-    full_rate = result.transfer(result.full_input)
-    comp = cumulative_trapezoid(full_rate, grid, axis=1, initial=0.0) \
-        if len(grid) > 1 else np.zeros_like(full_rate)
+    full_rate, comp = _rates_and_compensators(result)
+    # the rate matrix is reduced before the counts exist, and the counts
+    # become counts - comp in place: two (n, grid) arrays fewer at the peak
+    hbar = full_rate.mean(axis=0)
+    del full_rate
     counts = result.trains.counts_on_grid(grid).astype(np.float64)
-    base = counts - comp
 
     u = net.signs.astype(np.float64)
     root = math.sqrt(n)
@@ -642,6 +671,9 @@ def extract_martingale_paths(result: SimulationResult,
         for b in range(a, len(vertices)):
             coeff = centered[:, a] * centered[:, b]
             brackets[(vertices[a], vertices[b])] = (coeff @ counts) / n
+    bracket_mean = counts.mean(axis=0)
+    base = counts
+    base -= comp
 
     return MartingalePaths(
         grid=grid,
@@ -653,10 +685,11 @@ def extract_martingale_paths(result: SimulationResult,
         m_per_vertex=(w_full.T @ base) / root,
         drifts=(w_full.T @ comp) / root,
         x0=base.sum(axis=0) / root,
-        hbar=full_rate.mean(axis=0),
+        hbar=hbar,
         hbar_int=comp.mean(axis=0),
         brackets=brackets,
-        bracket_mean=counts.mean(axis=0),
+        bracket_mean=bracket_mean,
+        compensators=comp,
     )
 
 

@@ -7,10 +7,17 @@ layout or float rounding of these outputs must say so in CHANGES.md and
 regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
+
+The recorded paths pass through numpy's vectorised exp, whose last bit
+depends on the SIMD path numpy dispatches to.  Their digests are therefore
+compared only on a machine with the numpy version and dispatch targets stored
+under "machine" in the table; everywhere the paths are also checked against a
+brute-force reconvolution of the spike trains at a tight tolerance.
 """
 
 import hashlib
 import json
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +25,16 @@ import pytest
 
 from hawkes_meanfield.kernels import arctan_transfer, exponential_kernel
 from hawkes_meanfield.network import sample_network
-from hawkes_meanfield.simulator import (SimulationConfig, simulate_thinning,
+from hawkes_meanfield.simulator import (SimulationConfig,
+                                        recompute_input_from_trains,
+                                        simulate_thinning,
                                         simulate_time_change)
 
 HASHES = Path(__file__).with_name("golden_hashes.json")
 BACKENDS = {"thinning": simulate_thinning, "time_change": simulate_time_change}
+PATHS = ("tracked_input", "mean_input", "full_input")
+N = 40
+KERNEL = exponential_kernel(1.0)
 
 
 def _cases():
@@ -41,6 +53,18 @@ def _cases():
     return cases
 
 
+def _machine():
+    """numpy version, architecture and the SIMD targets numpy dispatches to."""
+    try:
+        from numpy._core._multiarray_umath import (__cpu_dispatch__,
+                                                   __cpu_features__)
+        targets = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    except ImportError:
+        targets = None
+    return {"numpy": np.__version__, "arch": platform.machine(),
+            "simd_targets": targets}
+
+
 def _digest(*arrays):
     h = hashlib.sha256()
     for a in arrays:
@@ -50,31 +74,64 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _hashes(backend, seed, scaling, horizon, dt, full):
+def _run(backend, seed, scaling, horizon, dt, full):
     p = 0.5 if scaling == "critical" else 0.8
-    net = sample_network(40, p, 0.5, seed)
+    net = sample_network(N, p, 0.5, seed)
     cfg = SimulationConfig(horizon=horizon, seed=seed, scaling=scaling, dt=dt,
                            tracked_vertices=(0, 5), record_full=full)
-    res = BACKENDS[backend](net, exponential_kernel(1.0), arctan_transfer(),
-                            cfg)
+    res = BACKENDS[backend](net, KERNEL, arctan_transfer(), cfg)
+    return net, cfg, res
+
+
+def _hashes(res):
     out = {
         "trains": _digest(*res.trains.times),
-        "tracked_input": _digest(res.tracked_input),
-        "mean_input": _digest(res.mean_input),
         "diagnostics": hashlib.sha256(json.dumps(
             res.diagnostics, sort_keys=True).encode()).hexdigest(),
     }
-    if full:
-        out["full_input"] = _digest(res.full_input)
+    for name in PATHS:
+        if getattr(res, name) is not None:
+            out[name] = _digest(getattr(res, name))
     return out
+
+
+def _table():
+    return json.loads(HASHES.read_text())
 
 
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_exponential_loops_are_bit_identical(case):
-    expected = json.loads(HASHES.read_text())[case]
-    assert _hashes(*_cases()[case]) == expected
+    expected = _table()["cases"][case]
+    got = _hashes(_run(*_cases()[case])[2])
+    assert got["trains"] == expected["trains"]
+    assert got["diagnostics"] == expected["diagnostics"]
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_recorded_path_digests(case):
+    table = _table()
+    if _machine() != table["machine"]:
+        pytest.skip(f"path digests were taken on {table['machine']}")
+    got = _hashes(_run(*_cases()[case])[2])
+    for name in PATHS:
+        assert got.get(name) == table["cases"][case].get(name), name
+
+
+@pytest.mark.parametrize("case", sorted(_cases()))
+def test_recorded_paths_match_reconvolution(case):
+    net, cfg, res = _run(*_cases()[case])
+    exact = recompute_input_from_trains(net, KERNEL, cfg.theta(N), res.trains,
+                                        res.grid, range(N))
+    tol = dict(rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(res.tracked_input,
+                               exact[list(cfg.tracked_vertices)], **tol)
+    np.testing.assert_allclose(res.mean_input, exact.mean(axis=0), **tol)
+    if res.full_input is not None:
+        np.testing.assert_allclose(res.full_input, exact, **tol)
 
 
 if __name__ == "__main__":
-    table = {case: _hashes(*args) for case, args in sorted(_cases().items())}
+    table = {"machine": _machine(),
+             "cases": {case: _hashes(_run(*args)[2])
+                       for case, args in sorted(_cases().items())}}
     print(json.dumps(table, indent=1, sort_keys=True))

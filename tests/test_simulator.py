@@ -72,14 +72,20 @@ def test_counts_on_grid_takes_left_limits():
 
 
 def test_full_recording_consistency():
-    net, cfg, res = _small_run(record_full=True, record_mean_rate=True)
-    np.testing.assert_allclose(res.mean_input, res.full_input.mean(axis=0),
-                               atol=1e-12)
-    np.testing.assert_allclose(res.tracked_input,
-                               res.full_input[list(cfg.tracked_vertices)],
-                               atol=1e-12)
-    np.testing.assert_allclose(res.mean_rate,
-                               ARCTAN(res.full_input).mean(axis=0), atol=1e-12)
+    for backend in (simulate_thinning, simulate_time_change):
+        net, cfg, res = _small_run(backend=backend, record_full=True,
+                                   record_mean_rate=True)
+        np.testing.assert_allclose(res.mean_input, res.full_input.mean(axis=0),
+                                   atol=1e-12)
+        np.testing.assert_allclose(res.tracked_input,
+                                   res.full_input[list(cfg.tracked_vertices)],
+                                   atol=1e-12)
+        np.testing.assert_allclose(res.mean_rate,
+                                   ARCTAN(res.full_input).mean(axis=0),
+                                   rtol=0.0, atol=1e-12)
+        # the rate mean does not depend on whether the full matrix is kept
+        _, _, rate_only = _small_run(backend=backend, record_mean_rate=True)
+        np.testing.assert_array_equal(rate_only.mean_rate, res.mean_rate)
 
 
 def test_diagnostics_bookkeeping():
@@ -197,6 +203,8 @@ def test_compensator_of_constant_rate_is_linear():
     comp = compensators(res)
     np.testing.assert_allclose(comp, np.broadcast_to(1.5 * res.grid,
                                                      comp.shape), atol=1e-12)
+    paths = extract_martingale_paths(res, vertices=(0,))
+    np.testing.assert_array_equal(paths.compensators, comp)
 
 
 def test_compensators_need_full_recording():
