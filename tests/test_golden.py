@@ -1,8 +1,9 @@
-"""Bit-identity gate for the exponential-kernel event loops.
+"""Bit-identity gate for the simulator's event loops.
 
 SHA-256 digests of the spike trains, the recorded input paths and the
-diagnostics at fixed seeds.  A refactor of the event loops or the grid
-recorder must reproduce every digest; a change that alters the RNG stream
+diagnostics at fixed seeds, for both backends under the exponential kernel
+(lazy decay) and under a tabulated kernel (windowed history).  A refactor of
+the event loops or the grid recorder must reproduce every digest; a change that alters the RNG stream
 layout or float rounding of these outputs must say so in CHANGES.md and
 regenerate the table with
 
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hawkes_meanfield.kernels import arctan_transfer, exponential_kernel
+from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
+                                     tabulated_kernel)
 from hawkes_meanfield.network import sample_network
 from hawkes_meanfield.simulator import (SimulationConfig,
                                         recompute_input_from_trains,
@@ -34,23 +36,41 @@ HASHES = Path(__file__).with_name("golden_hashes.json")
 BACKENDS = {"thinning": simulate_thinning, "time_change": simulate_time_change}
 PATHS = ("tracked_input", "mean_input", "full_input")
 N = 40
-KERNEL = exponential_kernel(1.0)
+_TAB_NODES = np.arange(9) * 0.25
+# e^{-u} tabulated on [0, 2]: finite support, so the windowed-history loops
+KERNELS = {"exponential": exponential_kernel(1.0),
+           "tabulated": tabulated_kernel(_TAB_NODES, np.exp(-_TAB_NODES))}
+SEEDS = ((3, "mean_field"), (17, "critical"), (29, "mean_field"))
 
 
 def _cases():
-    """case id -> (backend, seed, scaling, horizon, dt, record_full)."""
+    """case id -> (backend, kernel, seed, scaling, horizon, dt, record_full).
+
+    Tabulated cases are tracked-only: history mode rejects record_full.
+    """
     cases = {}
     for backend in BACKENDS:
-        for seed, scaling in ((3, "mean_field"), (17, "critical"),
-                              (29, "mean_field")):
+        for seed, scaling in SEEDS:
             for full in (False, True):
                 key = f"{backend}-s{seed}-{scaling}-{'full' if full else 'tracked'}"
-                cases[key] = (backend, seed, scaling, 3.0, None, full)
-        cases[f"{backend}-horizon0-full"] = (backend, 5, "mean_field", 0.0,
-                                             None, True)
-        cases[f"{backend}-dt0.0137-full"] = (backend, 5, "critical", 3.0,
-                                             0.0137, True)
+                cases[key] = (backend, "exponential", seed, scaling, 3.0, None,
+                              full)
+        cases[f"{backend}-horizon0-full"] = (backend, "exponential", 5,
+                                             "mean_field", 0.0, None, True)
+        cases[f"{backend}-dt0.0137-full"] = (backend, "exponential", 5,
+                                             "critical", 3.0, 0.0137, True)
+        for seed, scaling in SEEDS:
+            cases[f"{backend}-tab-s{seed}-{scaling}-tracked"] = (
+                backend, "tabulated", seed, scaling, 3.0, None, False)
+        cases[f"{backend}-tab-horizon0-tracked"] = (
+            backend, "tabulated", 5, "mean_field", 0.0, None, False)
+        cases[f"{backend}-tab-dt0.0137-tracked"] = (
+            backend, "tabulated", 5, "critical", 3.0, 0.0137, False)
     return cases
+
+
+def _of_kernel(kernel):
+    return sorted(k for k, v in _cases().items() if v[1] == kernel)
 
 
 def _machine():
@@ -74,12 +94,12 @@ def _digest(*arrays):
     return h.hexdigest()
 
 
-def _run(backend, seed, scaling, horizon, dt, full):
+def _run(backend, kernel, seed, scaling, horizon, dt, full):
     p = 0.5 if scaling == "critical" else 0.8
     net = sample_network(N, p, 0.5, seed)
     cfg = SimulationConfig(horizon=horizon, seed=seed, scaling=scaling, dt=dt,
                            tracked_vertices=(0, 5), record_full=full)
-    res = BACKENDS[backend](net, KERNEL, arctan_transfer(), cfg)
+    res = BACKENDS[backend](net, KERNELS[kernel], arctan_transfer(), cfg)
     return net, cfg, res
 
 
@@ -99,12 +119,21 @@ def _table():
     return json.loads(HASHES.read_text())
 
 
-@pytest.mark.parametrize("case", sorted(_cases()))
-def test_exponential_loops_are_bit_identical(case):
+def _check_trains_and_diagnostics(case):
     expected = _table()["cases"][case]
     got = _hashes(_run(*_cases()[case])[2])
     assert got["trains"] == expected["trains"]
     assert got["diagnostics"] == expected["diagnostics"]
+
+
+@pytest.mark.parametrize("case", _of_kernel("exponential"))
+def test_exponential_loops_are_bit_identical(case):
+    _check_trains_and_diagnostics(case)
+
+
+@pytest.mark.parametrize("case", _of_kernel("tabulated"))
+def test_history_loops_are_bit_identical(case):
+    _check_trains_and_diagnostics(case)
 
 
 @pytest.mark.parametrize("case", sorted(_cases()))
@@ -119,9 +148,10 @@ def test_recorded_path_digests(case):
 
 @pytest.mark.parametrize("case", sorted(_cases()))
 def test_recorded_paths_match_reconvolution(case):
-    net, cfg, res = _run(*_cases()[case])
-    exact = recompute_input_from_trains(net, KERNEL, cfg.theta(N), res.trains,
-                                        res.grid, range(N))
+    args = _cases()[case]
+    net, cfg, res = _run(*args)
+    exact = recompute_input_from_trains(net, KERNELS[args[1]], cfg.theta(N),
+                                        res.trains, res.grid, range(N))
     tol = dict(rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(res.tracked_input,
                                exact[list(cfg.tracked_vertices)], **tol)
