@@ -10,16 +10,22 @@ Two independent backends produce spike trains with the same law:
   run at speed h(S_i).
 
 Their agreement in law is one of the standing cross-checks of the package, so
-neither may delegate its event loop to the other.
+neither may delegate its event loop to the other.  Each backend has exactly
+one loop, whatever the kernel.
 
-For the exponential kernel the per-vertex input S is kept as one lazily
+The loops read the input S through three closures built by _setup:
+at(t, i) returns S_i(t-); fire(t, i) records every pending grid point
+g <= t and then adds vertex i's event at t; close(horizon) records the rest
+of the grid and returns (tracked_input, mean_input, mean_rate, full_input).
+Recording before the event's jump makes every recorded value a left limit:
+a grid point that coincides with an event time gets the pre-jump input.
+
+There are two implementations.  For the exponential kernel S is one lazily
 decayed vector (all components share the decay factor, so a single sync time
-suffices).  Grid recording follows the same idea: when an accepted event
-crosses grid points, the loop stores the undecayed state with its sync time,
-and one pass after the loop decays every recorded column to its grid time.
-Recorded values are left limits.  Any other kernel falls back to windowed
-re-evaluation of the spike history, truncated where phi drops below 1e-12 of
-its sup.
+suffices); a grid crossing stores the undecayed state with its sync time and
+close decays every recorded column to its grid time in one pass.  Any other
+kernel re-evaluates the spike history in a window truncated where phi drops
+below 1e-12 of its sup.
 """
 
 import bisect
@@ -53,6 +59,7 @@ __all__ = [
     "recompute_input_from_trains",
     "compensators",
     "extract_martingale_paths",
+    "format_spike_trains",
     "write_spike_trains",
     "read_spike_trains",
 ]
@@ -148,62 +155,156 @@ class SimulationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-class _Recorder:
-    """Grid recorder for the exponential fast path.
+def _lazy_decay(grid, signed, kernel, transfer, cfg):
+    """(at, fire, close) over one lazily decayed input vector.
 
-    Values at grid points are the left limits of the input: a grid point that
-    coincides with an event time gets the pre-jump state.  At a grid crossing
-    the event loop hands over the undecayed state and its sync time; fill_to
-    stores them as they are, and one finish(rate) after the loop multiplies
-    every recorded column by exp(-rate * (g - sync)).  mean_rate is the
-    exception: h is not linear, so fill_to takes it from the decayed state at
-    the crossing.  The history loops write final values through _fill_history
-    and never call finish.
+    Exponential kernel only: all components share the decay factor, so the
+    vector and one sync time describe S exactly.  At a grid crossing fire
+    stores the undecayed state with its sync time, and close multiplies every
+    recorded column by exp(-rate * (g - sync)) once.  mean_rate is the
+    exception: h is not linear, so it is taken from the decayed state at the
+    crossing.  The closures keep their state in local cells, not attributes:
+    at and fire run once per candidate and per event.
     """
+    lam = kernel.rate
+    exp = math.exp
+    n = len(signed)
+    state = np.zeros(n)
+    t_sync = 0.0
+    grid_list = grid.tolist()
+    m1 = len(grid)
+    tracked = np.asarray(cfg.tracked_vertices, dtype=np.int64)
+    tracked_paths = np.zeros((len(tracked), m1))
+    mean_input = np.zeros(m1)
+    mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
+    full = np.zeros((n, m1)) if cfg.record_full else None
+    sync = np.zeros(m1)
+    next_idx = 0
+    next_t = grid_list[0]
 
-    def __init__(self, grid, tracked, n, transfer, record_mean_rate, record_full):
-        self.grid = grid
-        self.grid_list = grid.tolist()
-        self.m1 = len(grid)
-        self.tracked = np.asarray(tracked, dtype=np.int64)
-        self.tracked_paths = np.zeros((len(self.tracked), self.m1))
-        self.mean_input = np.zeros(self.m1)
-        self.mean_rate = np.zeros(self.m1) if record_mean_rate else None
-        self.full = np.zeros((n, self.m1)) if record_full else None
-        self.sync = np.zeros(self.m1)
-        self.transfer = transfer
-        self.next_idx = 0
-        self.next_t = float(grid[0])
+    def record(t):
+        """Store the undecayed state for every pending grid point g <= t."""
+        nonlocal next_idx, next_t
+        a = next_idx
+        j = bisect.bisect_right(grid_list, t, a)
+        tracked_paths[:, a:j] = state[tracked, None]
+        mean_input[a:j] = state.mean()
+        sync[a:j] = t_sync
+        if full is not None:
+            full[:, a:j] = state[:, None]
+        if mean_rate is not None:
+            decays = np.exp(-lam * (grid[a:j] - t_sync))
+            mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
+        next_idx = j
+        next_t = grid_list[j] if j < m1 else math.inf
 
-    def fill_to(self, t, state, t_sync, rate):
-        """Store the undecayed state for every pending grid point g <= t.
+    def at(t, i):
+        return state[i] * exp(-lam * (t - t_sync))
 
-        Callers test t >= next_t first; the loops do so inline.
+    def fire(t, i):
+        nonlocal state, t_sync
+        if t >= next_t:
+            record(t)
+        state *= exp(-lam * (t - t_sync))
+        state += signed[i]
+        t_sync = t
+
+    def close(horizon):
+        nonlocal tracked_paths, mean_input, full
+        record(horizon)
+        decays = np.exp(-lam * (grid - sync))
+        tracked_paths *= decays
+        mean_input *= decays
+        if full is not None:
+            full *= decays
+        return tracked_paths, mean_input, mean_rate, full
+
+    return at, fire, close
+
+
+def _windowed_history(grid, signed, kernel, transfer, cfg):
+    """(at, fire, close) over a growing event buffer (any kernel).
+
+    S_i(t-) is re-evaluated from the events strictly before t that lie
+    within the kernel's truncation lag.  fire records the pending grid points
+    as final values before it appends the event; close returns no mean_rate
+    and no full input (_setup rejects asking for them).
+    """
+    padded = kernel.padded
+    cut = kernel.truncation_lag()
+    row_mean = signed.mean(axis=1)
+    times = np.empty(4096)
+    verts = np.empty(4096, dtype=np.int64)
+    count = 0
+    lo = 0
+    tracked = cfg.tracked_vertices
+    m1 = len(grid)
+    tracked_paths = np.zeros((len(tracked), m1))
+    mean_input = np.zeros(m1)
+    next_idx = 0
+    next_t = float(grid[0])
+
+    def record(t):
+        """Write S at every pending grid point g <= t (left limits).
+
+        Grid times lag behind the newest candidate, so lo (advanced for that
+        candidate) may already have passed events still inside g's window;
+        search the full buffer instead of reusing it.
         """
-        a = self.next_idx
-        j = bisect.bisect_right(self.grid_list, t, a)
-        self.tracked_paths[:, a:j] = state[self.tracked, None]
-        self.mean_input[a:j] = state.mean()
-        self.sync[a:j] = t_sync
-        if self.full is not None:
-            self.full[:, a:j] = state[:, None]
-        if self.mean_rate is not None:
-            decays = np.exp(-rate * (self.grid[a:j] - t_sync))
-            self.mean_rate[a:j] = self.transfer(
-                state[:, None] * decays[None, :]).mean(axis=0)
-        self.next_idx = j
-        self.next_t = self.grid_list[j] if j < self.m1 else math.inf
+        nonlocal next_idx, next_t
+        j = int(np.searchsorted(grid, t, side="right"))
+        ts_all = times[:count]
+        for idx in range(next_idx, j):
+            g = float(grid[idx])
+            start = int(np.searchsorted(ts_all, g - cut, side="left"))
+            ts = ts_all[start:]
+            m = int(np.searchsorted(ts, g, side="left"))
+            if m == 0:
+                continue
+            vals = padded(g - ts[:m])
+            vsl = verts[start:start + m]
+            tracked_paths[:, idx] = [float(np.dot(vals, signed[vsl, v]))
+                                     for v in tracked]
+            mean_input[idx] = float(np.dot(vals, row_mean[vsl]))
+        next_idx = j
+        next_t = float(grid[j]) if j < m1 else math.inf
 
-    def finish(self, rate):
-        """Decay every recorded value from its sync time to its grid time."""
-        decays = np.exp(-rate * (self.grid - self.sync))
-        self.tracked_paths *= decays
-        self.mean_input *= decays
-        if self.full is not None:
-            self.full *= decays
+    def at(t, i):
+        nonlocal lo
+        while lo < count and t - times[lo] > cut:
+            lo += 1
+        ts = times[lo:count]
+        m = int(np.searchsorted(ts, t, side="left"))
+        if m == 0:
+            return 0.0
+        vals = padded(t - ts[:m])
+        return float(np.dot(vals, signed[verts[lo:lo + m], i]))
+
+    def fire(t, i):
+        nonlocal times, verts, count
+        if t >= next_t:
+            record(t)
+        if count == len(times):
+            times = np.concatenate([times, np.empty(len(times))])
+            verts = np.concatenate([verts, np.empty(len(verts), dtype=np.int64)])
+        times[count] = t
+        verts[count] = i
+        count += 1
+
+    def close(horizon):
+        record(horizon)
+        return tracked_paths, mean_input, None, None
+
+    return at, fire, close
 
 
-def _validate(net, kernel, transfer, cfg):
+def _setup(net, kernel, transfer, cfg):
+    """Validate a run; return (horizon, grid, at, fire, close).
+
+    at(t, i) is S_i(t-); fire(t, i) records the grid points up to t and then
+    adds vertex i's event at t; close(horizon) records the rest of the grid
+    and returns (tracked_input, mean_input, mean_rate, full_input).
+    """
     if not isinstance(net, NetworkConfiguration):
         raise ContractError("net must be a NetworkConfiguration")
     if not math.isfinite(transfer.sup_norm):
@@ -216,17 +317,24 @@ def _validate(net, kernel, transfer, cfg):
             "record_full / record_mean_rate need the exponential-kernel fast "
             "path; track specific vertices instead"
         )
+    horizon = float(cfg.horizon)
+    grid, _ = _resolve_grid(horizon, cfg.dt)
+    signed = net.signed_rows(cfg.theta(net.n))
+    make = _lazy_decay if kernel.is_exponential else _windowed_history
+    return (horizon, grid) + make(grid, signed, kernel, transfer, cfg)
 
 
-def _finalize(net, kernel, transfer, cfg, backend, grid, rec, trains_raw,
-              diagnostics):
-    times = tuple(np.asarray(t, dtype=np.float64) for t in trains_raw)
-    trains = SpikeTrains(times=times, horizon=float(cfg.horizon))
+def _finalize(net, kernel, transfer, cfg, backend, grid, recorded, trains,
+              candidates, events, ties_nudged):
+    tracked_input, mean_input, mean_rate, full_input = recorded
+    times = tuple(np.asarray(t, dtype=np.float64) for t in trains)
     return SimulationResult(
         net=net, kernel=kernel, transfer=transfer, config=cfg, backend=backend,
-        trains=trains, grid=grid, tracked_input=rec.tracked_paths,
-        mean_input=rec.mean_input, mean_rate=rec.mean_rate,
-        full_input=rec.full, diagnostics=diagnostics,
+        trains=SpikeTrains(times=times, horizon=float(cfg.horizon)),
+        grid=grid, tracked_input=tracked_input, mean_input=mean_input,
+        mean_rate=mean_rate, full_input=full_input,
+        diagnostics={"candidates": candidates, "events": events,
+                     "ties_nudged": ties_nudged},
     )
 
 
@@ -242,29 +350,15 @@ def simulate_thinning(net: NetworkConfiguration, kernel: Kernel,
     events are impossible up to float collisions, which are resolved by a
     one-ulp perturbation and counted in diagnostics["ties_nudged"].
     """
-    _validate(net, kernel, transfer, cfg)
-    if kernel.is_exponential:
-        return _thinning_exponential(net, kernel, transfer, cfg)
-    return _thinning_history(net, kernel, transfer, cfg)
-
-
-def _thinning_exponential(net, kernel, transfer, cfg):
+    horizon, grid, at, fire, close = _setup(net, kernel, transfer, cfg)
     n = net.n
-    lam = kernel.rate
     sup_h = transfer.sup_norm
     h = transfer.scalar
     big_lambda = n * sup_h
-    horizon = float(cfg.horizon)
-    grid, _ = _resolve_grid(horizon, cfg.dt)
-    rec = _Recorder(grid, cfg.tracked_vertices, n, transfer,
-                    cfg.record_mean_rate, cfg.record_full)
-    state = np.zeros(n)
-    signed = net.signed_rows(cfg.theta(n))
     trains = [[] for _ in range(n)]
-    diagnostics = {"candidates": 0, "events": 0, "ties_nudged": 0}
+    candidates = events = ties_nudged = 0
 
     t = 0.0
-    t_sync = 0.0
     last_event = -1.0
     if big_lambda > 0.0 and horizon > 0.0:
         cand = stream(cfg.seed, CANDIDATES)
@@ -281,8 +375,8 @@ def _thinning_exponential(net, kernel, transfer, cfg):
                 if t >= horizon:
                     done = True
                     break
-                diagnostics["candidates"] += 1
-                rate = h(state[i] * math.exp(-lam * (t - t_sync)))
+                candidates += 1
+                rate = h(at(t, i))
                 if not 0.0 <= rate <= sup_h:
                     raise ContractError(
                         f"transfer left its declared range: h={rate!r}"
@@ -290,22 +384,16 @@ def _thinning_exponential(net, kernel, transfer, cfg):
                 if u * sup_h < rate:
                     if t == last_event:
                         t = math.nextafter(t, math.inf)
-                        diagnostics["ties_nudged"] += 1
+                        ties_nudged += 1
                         if t >= horizon:
                             done = True
                             break
-                    if t >= rec.next_t:
-                        rec.fill_to(t, state, t_sync, lam)
-                    state *= math.exp(-lam * (t - t_sync))
-                    state += signed[i]
-                    t_sync = t
+                    fire(t, i)
                     last_event = t
                     trains[i].append(t)
-                    diagnostics["events"] += 1
-    rec.fill_to(horizon, state, t_sync, lam)
-    rec.finish(lam)
-    return _finalize(net, kernel, transfer, cfg, "thinning", grid, rec, trains,
-                     diagnostics)
+                    events += 1
+    return _finalize(net, kernel, transfer, cfg, "thinning", grid,
+                     close(horizon), trains, candidates, events, ties_nudged)
 
 
 def simulate_time_change(net: NetworkConfiguration, kernel: Kernel,
@@ -319,204 +407,12 @@ def simulate_time_change(net: NetworkConfiguration, kernel: Kernel,
     Poisson process run at the integrated rate of vertex i.  Equal in law to
     simulate_thinning but sharing none of its randomness or event loop.
     """
-    _validate(net, kernel, transfer, cfg)
-    if kernel.is_exponential:
-        return _time_change_exponential(net, kernel, transfer, cfg)
-    return _time_change_history(net, kernel, transfer, cfg)
-
-
-def _time_change_exponential(net, kernel, transfer, cfg):
-    n = net.n
-    lam = kernel.rate
-    sup_h = transfer.sup_norm
-    h = transfer.scalar
-    horizon = float(cfg.horizon)
-    grid, _ = _resolve_grid(horizon, cfg.dt)
-    rec = _Recorder(grid, cfg.tracked_vertices, n, transfer,
-                    cfg.record_mean_rate, cfg.record_full)
-    state = np.zeros(n)
-    signed = net.signed_rows(cfg.theta(n))
-    trains = [[] for _ in range(n)]
-    diagnostics = {"candidates": 0, "events": 0, "ties_nudged": 0}
-
-    t_sync = 0.0
-    last_event = -1.0
-    if sup_h > 0.0 and horizon > 0.0:
-        scale = 1.0 / sup_h
-        gens = [stream(cfg.seed, TIMECHANGE, i) for i in range(n)]
-        heap = []
-        for i, g in enumerate(gens):
-            first = float(g.exponential(scale))
-            if first < horizon:
-                heap.append((first, i))
-        heapq.heapify(heap)
-        while heap:
-            t, i = heapq.heappop(heap)
-            diagnostics["candidates"] += 1
-            rate = h(state[i] * math.exp(-lam * (t - t_sync)))
-            if not 0.0 <= rate <= sup_h:
-                raise ContractError(f"transfer left its declared range: h={rate!r}")
-            u = float(gens[i].random())
-            if u * sup_h < rate:
-                te = t
-                if te == last_event:
-                    te = math.nextafter(te, math.inf)
-                    diagnostics["ties_nudged"] += 1
-                if te < horizon:
-                    if te >= rec.next_t:
-                        rec.fill_to(te, state, t_sync, lam)
-                    state *= math.exp(-lam * (te - t_sync))
-                    state += signed[i]
-                    t_sync = te
-                    last_event = te
-                    trains[i].append(te)
-                    diagnostics["events"] += 1
-            nxt = t + float(gens[i].exponential(scale))
-            if nxt < horizon:
-                heapq.heappush(heap, (nxt, i))
-    rec.fill_to(horizon, state, t_sync, lam)
-    rec.finish(lam)
-    return _finalize(net, kernel, transfer, cfg, "time_change", grid, rec,
-                     trains, diagnostics)
-
-
-class _History:
-    """Growing event buffer with windowed kernel evaluation."""
-
-    def __init__(self, net, kernel, theta, capacity=4096):
-        self.kernel = kernel
-        self.signed = net.signed_rows(theta)
-        self.row_mean = self.signed.mean(axis=1)
-        self.cut = kernel.truncation_lag()
-        self.times = np.empty(capacity)
-        self.verts = np.empty(capacity, dtype=np.int64)
-        self.count = 0
-        self.lo = 0
-
-    def push(self, t, vertex):
-        if self.count == len(self.times):
-            self.times = np.concatenate([self.times, np.empty(len(self.times))])
-            self.verts = np.concatenate([self.verts,
-                                         np.empty(len(self.verts), dtype=np.int64)])
-        self.times[self.count] = t
-        self.verts[self.count] = vertex
-        self.count += 1
-
-    def _window_start(self, t, advance=True):
-        lo = self.lo
-        while lo < self.count and t - self.times[lo] > self.cut:
-            lo += 1
-        if advance:
-            self.lo = lo
-        return lo
-
-    def input_at(self, t, vertex) -> float:
-        """S_vertex(t-) from events strictly before t."""
-        lo = self._window_start(t)
-        ts = self.times[lo:self.count]
-        m = int(np.searchsorted(ts, t, side="left"))
-        if m == 0:
-            return 0.0
-        vals = self.kernel.padded(t - ts[:m])
-        return float(np.dot(vals, self.signed[self.verts[lo:lo + m], vertex]))
-
-    def snapshot(self, t, tracked):
-        """(tracked inputs, mean input) at grid time t (left limits).
-
-        Grid times lag behind the newest candidate, so self.lo (advanced for
-        that candidate) may already have passed events still inside this t's
-        window; search the full buffer instead of reusing it.
-        """
-        ts_all = self.times[:self.count]
-        lo = int(np.searchsorted(ts_all, t - self.cut, side="left"))
-        ts = ts_all[lo:]
-        m = int(np.searchsorted(ts, t, side="left"))
-        if m == 0:
-            return np.zeros(len(tracked)), 0.0
-        vals = self.kernel.padded(t - ts[:m])
-        vsl = self.verts[lo:lo + m]
-        tr = np.array([float(np.dot(vals, self.signed[vsl, v])) for v in tracked])
-        return tr, float(np.dot(vals, self.row_mean[vsl]))
-
-
-def _fill_history(rec, hist, t, tracked):
-    """History-mode analogue of _Recorder.fill_to (tracked + mean only)."""
-    if rec.next_idx >= rec.m1 or t < rec.next_t:
-        return
-    j = int(np.searchsorted(rec.grid, t, side="right"))
-    for idx in range(rec.next_idx, j):
-        tr, mean = hist.snapshot(float(rec.grid[idx]), tracked)
-        if rec.tracked.size:
-            rec.tracked_paths[:, idx] = tr
-        rec.mean_input[idx] = mean
-    rec.next_idx = j
-    rec.next_t = float(rec.grid[j]) if j < rec.m1 else math.inf
-
-
-def _thinning_history(net, kernel, transfer, cfg):
+    horizon, grid, at, fire, close = _setup(net, kernel, transfer, cfg)
     n = net.n
     sup_h = transfer.sup_norm
     h = transfer.scalar
-    big_lambda = n * sup_h
-    horizon = float(cfg.horizon)
-    grid, _ = _resolve_grid(horizon, cfg.dt)
-    rec = _Recorder(grid, cfg.tracked_vertices, n, transfer, False, False)
-    hist = _History(net, kernel, cfg.theta(n))
     trains = [[] for _ in range(n)]
-    diagnostics = {"candidates": 0, "events": 0, "ties_nudged": 0}
-    tracked = cfg.tracked_vertices
-
-    t = 0.0
-    last_event = -1.0
-    if big_lambda > 0.0 and horizon > 0.0:
-        cand = stream(cfg.seed, CANDIDATES)
-        pick = stream(cfg.seed, VERTEX_PICK)
-        acc = stream(cfg.seed, ACCEPT)
-        scale = 1.0 / big_lambda
-        done = False
-        while not done:
-            gaps = cand.exponential(scale, _BLOCK).tolist()
-            picks = pick.integers(0, n, _BLOCK).tolist()
-            accepts = acc.random(_BLOCK).tolist()
-            for gap, i, u in zip(gaps, picks, accepts):
-                t += gap
-                if t >= horizon:
-                    done = True
-                    break
-                diagnostics["candidates"] += 1
-                rate = h(hist.input_at(t, i))
-                if not 0.0 <= rate <= sup_h:
-                    raise ContractError(
-                        f"transfer left its declared range: h={rate!r}"
-                    )
-                if u * sup_h < rate:
-                    if t == last_event:
-                        t = math.nextafter(t, math.inf)
-                        diagnostics["ties_nudged"] += 1
-                        if t >= horizon:
-                            done = True
-                            break
-                    _fill_history(rec, hist, t, tracked)
-                    hist.push(t, i)
-                    last_event = t
-                    trains[i].append(t)
-                    diagnostics["events"] += 1
-    _fill_history(rec, hist, horizon, tracked)
-    return _finalize(net, kernel, transfer, cfg, "thinning", grid, rec, trains,
-                     diagnostics)
-
-
-def _time_change_history(net, kernel, transfer, cfg):
-    n = net.n
-    sup_h = transfer.sup_norm
-    h = transfer.scalar
-    horizon = float(cfg.horizon)
-    grid, _ = _resolve_grid(horizon, cfg.dt)
-    rec = _Recorder(grid, cfg.tracked_vertices, n, transfer, False, False)
-    hist = _History(net, kernel, cfg.theta(n))
-    trains = [[] for _ in range(n)]
-    diagnostics = {"candidates": 0, "events": 0, "ties_nudged": 0}
-    tracked = cfg.tracked_vertices
+    candidates = events = ties_nudged = 0
 
     last_event = -1.0
     if sup_h > 0.0 and horizon > 0.0:
@@ -530,8 +426,8 @@ def _time_change_history(net, kernel, transfer, cfg):
         heapq.heapify(heap)
         while heap:
             t, i = heapq.heappop(heap)
-            diagnostics["candidates"] += 1
-            rate = h(hist.input_at(t, i))
+            candidates += 1
+            rate = h(at(t, i))
             if not 0.0 <= rate <= sup_h:
                 raise ContractError(f"transfer left its declared range: h={rate!r}")
             u = float(gens[i].random())
@@ -539,19 +435,17 @@ def _time_change_history(net, kernel, transfer, cfg):
                 te = t
                 if te == last_event:
                     te = math.nextafter(te, math.inf)
-                    diagnostics["ties_nudged"] += 1
+                    ties_nudged += 1
                 if te < horizon:
-                    _fill_history(rec, hist, te, tracked)
-                    hist.push(te, i)
+                    fire(te, i)
                     last_event = te
                     trains[i].append(te)
-                    diagnostics["events"] += 1
+                    events += 1
             nxt = t + float(gens[i].exponential(scale))
             if nxt < horizon:
                 heapq.heappush(heap, (nxt, i))
-    _fill_history(rec, hist, horizon, tracked)
-    return _finalize(net, kernel, transfer, cfg, "time_change", grid, rec,
-                     trains, diagnostics)
+    return _finalize(net, kernel, transfer, cfg, "time_change", grid,
+                     close(horizon), trains, candidates, events, ties_nudged)
 
 
 def recompute_input_from_trains(net: NetworkConfiguration, kernel: Kernel,
@@ -693,12 +587,12 @@ def extract_martingale_paths(result: SimulationResult,
     )
 
 
-def write_spike_trains(path, trains: SpikeTrains, fmt: str = "csv",
-                       comment: str | None = None):
-    """Persist trains as columnar CSV (t,vertex) or JSON lines, time-ordered.
+def format_spike_trains(trains: SpikeTrains, fmt: str = "csv",
+                        comment: str | None = None) -> str:
+    """Trains as columnar CSV (t,vertex) or JSON lines text, time-ordered.
 
-    Floats are written with repr so a rerun of the same simulation produces a
-    byte-identical file.  `comment` adds a leading `# ...` line (csv only;
+    Floats are written with repr so a rerun of the same simulation produces
+    byte-identical text.  `comment` adds a leading `# ...` line (csv only;
     JSON-lines readers do not tolerate comment lines).
     """
     ts, vs = trains.merged()
@@ -706,13 +600,18 @@ def write_spike_trains(path, trains: SpikeTrains, fmt: str = "csv",
         lines = [f"# {comment}"] if comment else []
         lines += ["t,vertex"]
         lines += [f"{t!r},{v}" for t, v in zip(ts.tolist(), vs.tolist())]
-        text = "\n".join(lines) + "\n"
-    elif fmt == "jsonl":
+        return "\n".join(lines) + "\n"
+    if fmt == "jsonl":
         lines = [json.dumps({"t": t, "vertex": v})
                  for t, v in zip(ts.tolist(), vs.tolist())]
-        text = "\n".join(lines) + ("\n" if lines else "")
-    else:
-        raise ParameterError(f"unknown spike-train format {fmt!r}")
+        return "\n".join(lines) + ("\n" if lines else "")
+    raise ParameterError(f"unknown spike-train format {fmt!r}")
+
+
+def write_spike_trains(path, trains: SpikeTrains, fmt: str = "csv",
+                       comment: str | None = None):
+    """Persist format_spike_trains(trains, fmt, comment) to path."""
+    text = format_spike_trains(trains, fmt, comment)
     with open(path, "w") as fh:
         fh.write(text)
 
