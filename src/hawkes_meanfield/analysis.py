@@ -20,6 +20,7 @@ from scipy import stats as sps
 
 from .errors import (
     ContractError,
+    DerivativeUnavailableError,
     ParameterError,
     UnsupportedTransferError,
     WrongRegimeError,
@@ -279,6 +280,11 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
         raise ParameterError("n_tracked must be >= 2 (a covariance pair)")
     if replicates < 8 or limit_samples < 8:
         raise ParameterError("need at least 8 replicates and limit samples")
+    if not transfer.has_derivative:
+        raise DerivativeUnavailableError(
+            "clt samples the fluctuation limit, whose drift needs h'; "
+            "supply a transfer with a derivative"
+        )
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
     i_term = mean_path.values[-1]

@@ -111,6 +111,20 @@ def _float_list(obj, path):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
+def _tabulated_spec(params, path):
+    """Equal-length `nodes` and `values` arrays of one tabulated function."""
+    params = _mapping(params, path)
+    _only_keys(params, path, {"nodes", "values"})
+    for key in ("nodes", "values"):
+        if key not in params:
+            _fail(f"{path}.{key}", "required")
+    nodes = _float_list(params["nodes"], f"{path}.nodes")
+    values = _float_list(params["values"], f"{path}.values")
+    if len(nodes) != len(values):
+        _fail(path, "nodes and values must have equal length")
+    return {"tabulated": {"nodes": nodes, "values": values}}
+
+
 def _kernel_spec(obj, path):
     obj = _mapping(obj, path)
     if len(obj) != 1:
@@ -126,16 +140,7 @@ def _kernel_spec(obj, path):
             _fail(f"{path}.exponential.rate", "must be > 0")
         return {"exponential": {"rate": rate}}
     if kind == "tabulated":
-        params = _mapping(params, f"{path}.tabulated")
-        _only_keys(params, f"{path}.tabulated", {"nodes", "values"})
-        for key in ("nodes", "values"):
-            if key not in params:
-                _fail(f"{path}.tabulated.{key}", "required")
-        nodes = _float_list(params["nodes"], f"{path}.tabulated.nodes")
-        values = _float_list(params["values"], f"{path}.tabulated.values")
-        if len(nodes) != len(values):
-            _fail(f"{path}.tabulated", "nodes and values must have equal length")
-        return {"tabulated": {"nodes": nodes, "values": values}}
+        return _tabulated_spec(params, f"{path}.tabulated")
     _fail(f"{path}.{kind}", "unknown kernel kind "
           "(allowed: exponential, tabulated)")
 
@@ -157,16 +162,7 @@ def _transfer_spec(obj, path):
         value = _number(params["value"], f"{path}.constant.value", lo=0.0)
         return {"constant": {"value": value}}
     if kind == "tabulated":
-        params = _mapping(params, f"{path}.tabulated")
-        _only_keys(params, f"{path}.tabulated", {"nodes", "values"})
-        for key in ("nodes", "values"):
-            if key not in params:
-                _fail(f"{path}.tabulated.{key}", "required")
-        nodes = _float_list(params["nodes"], f"{path}.tabulated.nodes")
-        values = _float_list(params["values"], f"{path}.tabulated.values")
-        if len(nodes) != len(values):
-            _fail(f"{path}.tabulated", "nodes and values must have equal length")
-        return {"tabulated": {"nodes": nodes, "values": values}}
+        return _tabulated_spec(params, f"{path}.tabulated")
     _fail(f"{path}.{kind}", "unknown transfer kind "
           "(allowed: arctan, constant, tabulated)")
 
@@ -290,6 +286,10 @@ def validate_config(raw):
     q = _number(model["q"], "model.q", lo=0.0, hi=1.0)
     kernel_spec = _kernel_spec(model["kernel"], "model.kernel")
     transfer_spec = _transfer_spec(model["transfer"], "model.transfer")
+    if experiment == "clt" and "tabulated" in transfer_spec:
+        # a config cannot carry a derivative table, and clt needs h'
+        _fail("model.transfer", "experiment 'clt' needs h', which a "
+              "tabulated transfer from a config does not carry")
 
     default_scaling = "critical" if experiment == "critical" else "mean_field"
     scaling = _choice(model.get("scaling", default_scaling), "model.scaling",

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from hawkes_meanfield import analysis
 from hawkes_meanfield.analysis import (DEFAULT_TOLERANCES, ExperimentReport,
                                        _jackknife_scalar, _poisson_gof,
                                        _reverdict, clt_experiment,
@@ -13,7 +14,9 @@ from hawkes_meanfield.analysis import (DEFAULT_TOLERANCES, ExperimentReport,
                                        independence_experiment,
                                        lln_experiment, make_check,
                                        report_from_dict, run_experiment)
-from hawkes_meanfield.errors import (ContractError, ParameterError,
+from hawkes_meanfield.errors import (ContractError,
+                                     DerivativeUnavailableError,
+                                     ParameterError,
                                      UnsupportedTransferError,
                                      WrongRegimeError)
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
@@ -70,6 +73,22 @@ def test_regime_guards():
     with pytest.raises(WrongRegimeError):
         critical_experiment(n=16, q=1.0, kernel=EXP, transfer=ARCTAN,
                             horizon=1.0, replicates=5, seed=1)
+
+
+def test_clt_refuses_a_transfer_without_derivative_before_simulating(
+        monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("a replicate was simulated")
+
+    for key in ("thinning", "time_change"):
+        monkeypatch.setitem(analysis._BACKENDS, key, no_simulation)
+    nodes = np.linspace(-5.0, 5.0, 11)
+    plain = tabulated_transfer(nodes, 1.0 + 0.1 * np.tanh(nodes))
+    for backend in ("thinning", "time_change"):
+        with pytest.raises(DerivativeUnavailableError):
+            clt_experiment(n=30, p=0.8, q=0.5, kernel=EXP, transfer=plain,
+                           horizon=1.0, replicates=8, limit_samples=64,
+                           seed=1, backend=backend)
 
 
 def test_linearization_needs_curvature_bound():
