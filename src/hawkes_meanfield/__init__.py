@@ -63,6 +63,7 @@ from .simulator import (
     recompute_input_from_trains,
     compensators,
     extract_martingale_paths,
+    format_spike_trains,
     write_spike_trains,
     read_spike_trains,
 )

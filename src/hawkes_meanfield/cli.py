@@ -33,8 +33,8 @@ from .errors import ConfigError, ToolkitError
 from .fluctuations import simulate_fluctuations
 from .network import sample_network
 from .rng import replicate_seed
-from .simulator import (SimulationConfig, simulate_thinning,
-                        simulate_time_change)
+from .simulator import (SimulationConfig, format_spike_trains,
+                        simulate_thinning, simulate_time_change)
 from .volterra import solve_mean_field
 
 __all__ = ["main"]
@@ -139,10 +139,7 @@ def _events_csv(doc, r):
     simulate = (simulate_thinning if cfg.backend == "thinning"
                 else simulate_time_change)
     res = simulate(net, cfg.build_kernel(), cfg.build_transfer(), sim_cfg)
-    ts, vs = res.trains.merged()
-    lines = ["# schema: events v1", "t,vertex"]
-    lines += [f"{t!r},{v}" for t, v in zip(ts.tolist(), vs.tolist())]
-    return "\n".join(lines) + "\n"
+    return format_spike_trains(res.trains, comment="schema: events v1")
 
 
 def _cmd_simulate(args):

@@ -9,6 +9,10 @@ from hawkes_meanfield.cli import main
 from hawkes_meanfield.config import (experiment_kwargs, load_config,
                                      validate_config)
 from hawkes_meanfield.errors import ConfigError
+from hawkes_meanfield.network import sample_network
+from hawkes_meanfield.rng import replicate_seed
+from hawkes_meanfield.simulator import (SimulationConfig, simulate_thinning,
+                                        write_spike_trains)
 
 
 def _doc(**over):
@@ -167,6 +171,16 @@ def test_simulate_replays_byte_identically(tmp_path):
     # replicates see different event noise
     assert (tmp_path / "a" / "events_r000.csv").read_bytes() != \
         (tmp_path / "a" / "events_r001.csv").read_bytes()
+    # the CLI writes exactly what write_spike_trains writes for replicate 0
+    rs = replicate_seed(404, 0)
+    c = validate_config(_doc())
+    res = simulate_thinning(
+        sample_network(c.n, c.p, c.q, rs), c.build_kernel(),
+        c.build_transfer(), SimulationConfig(horizon=c.horizon, seed=rs))
+    direct = tmp_path / "direct.csv"
+    write_spike_trains(direct, res.trains, comment="schema: events v1")
+    assert (tmp_path / "a" / "events_r000.csv").read_bytes() == \
+        direct.read_bytes()
 
 
 def test_simulate_overrides_change_output(tmp_path):
@@ -236,6 +250,19 @@ def test_fluctuations_tidy_csv(tmp_path):
     assert series == {"kbar", "k1", "k2"}
     replicates = {line.split(",")[3] for line in lines[2:]}
     assert replicates == {"0", "1"}
+
+
+def test_clt_config_with_tabulated_transfer_is_refused(tmp_path, capsys):
+    doc = _doc(experiment="clt", model=dict(
+        _doc()["model"],
+        transfer={"tabulated": {"nodes": [-1.0, 1.0], "values": [0.5, 1.5]}}))
+    with pytest.raises(ConfigError, match="model.transfer"):
+        validate_config(doc)
+    cfg = _write(tmp_path, doc)
+    assert main(["verify", "--config", cfg,
+                 "--out", str(tmp_path / "v")]) == 2
+    assert "model.transfer" in capsys.readouterr().err
+    assert not (tmp_path / "v" / "report.json").exists()
 
 
 def test_verify_writes_consistent_artifacts(tmp_path, capsys):
