@@ -6,6 +6,12 @@ vertex j feed the intensity of vertex i.  Every ordered pair is sampled
 independently with probability q, self-loops included.  Each vertex also
 carries a spin ``signs[j]`` in {+1, -1} (P(+1) = p) that makes it excitatory
 or inhibitory towards all of its targets at once.
+
+Only the uint8 adjacency and the int8 spins are stored: one byte per ordered
+pair.  Uniforms are drawn and reduced one row block at a time, so sampling
+never holds an (n, n) float matrix; the event loops read the adjacency
+directly, and ``signed_rows`` is the dense definition the reconvolution
+oracle and the tests check them against.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +30,31 @@ __all__ = [
     "network_to_dict",
     "network_from_dict",
 ]
+
+# float64 items per row block when drawing or reducing the adjacency (2 MiB)
+_BLOCK_ITEMS = 1 << 18
+
+
+def row_blocks(n: int, width: int):
+    """Slices covering rows 0..n-1, each at most _BLOCK_ITEMS / width rows."""
+    step = max(1, _BLOCK_ITEMS // width)
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+def _draw_bernoulli(g, out, prob):
+    """Fill the uint8 matrix `out` with 1{U < prob}, row block by row block.
+
+    Consecutive Generator.random blocks yield the same doubles as one (n, m)
+    draw, so the matrix equals (g.random(out.shape) < prob) bit for bit.
+    """
+    rows, width = out.shape
+    blocks = row_blocks(rows, width)
+    buf = np.empty((blocks[0].stop, width))
+    for sl in blocks:
+        block = out[sl]
+        u = buf[:len(block)]
+        g.random(out=u)
+        np.less(u, prob, out=block.view(np.bool_))
 
 
 def _check_probability(name, value):
@@ -89,7 +120,12 @@ class NetworkConfiguration:
         return int(self.signs.sum(dtype=np.int64))
 
     def signed_rows(self, theta: float) -> np.ndarray:
-        """Dense float matrix theta * U_j * V_{ji}, rows ready for the event loop."""
+        """Dense float matrix theta * U_j * V_{ji} (8 n^2 bytes).
+
+        The definition of the weights: the event loops build row j as
+        (theta * U_j) * float(V_j.) on the fly, bit for bit equal to this
+        row, and the reconvolution oracle reads this matrix.
+        """
         return (theta * self.signs.astype(np.float64))[:, None] * self.adjacency
 
 
@@ -124,7 +160,8 @@ def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguratio
     _check_probability("p", p)
     _check_probability("q", q)
     g = stream(seed, NETWORK)
-    adjacency = (g.random((n, n)) < q).astype(np.uint8)
+    adjacency = np.empty((n, n), dtype=np.uint8)
+    _draw_bernoulli(g, adjacency, q)
     signs = np.where(g.random(n) < p, 1, -1).astype(np.int8)
     return NetworkConfiguration(
         n=n, p=float(p), q=float(q), adjacency=adjacency, signs=signs,
@@ -165,7 +202,7 @@ def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
     adjacency[half0, 0] = 1
     adjacency[half1, 1] = 1
     if n > 2:
-        adjacency[:, 2:] = (g.random((n, n - 2)) < 0.5).astype(np.uint8)
+        _draw_bernoulli(g, adjacency[:, 2:], 0.5)
     return NetworkConfiguration(
         n=n, p=0.5, q=0.5, adjacency=adjacency, signs=signs,
         seed=int(seed), kind="complementary",
@@ -181,9 +218,14 @@ def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:
     """
     n = net.n
     u = net.signs.astype(np.float64)
-    v = net.adjacency.astype(np.float64)
     root_n = np.sqrt(n)
-    uv_col = u @ v                        # sum_j U_j V_{ji} per target i
+    # integer-valued sums, exact in any order: one float row block at a time
+    uv_col = np.zeros(n)                  # sum_j U_j V_{ji} per target i
+    in_degree = np.zeros(n)
+    for sl in row_blocks(n, n):
+        v = net.adjacency[sl].astype(np.float64)
+        uv_col += u[sl] @ v
+        in_degree += v.sum(axis=0)
     u_sum = u.sum()
     w_n = (u_sum - n * (2 * net.p - 1)) / root_n
     w_n_i = (uv_col - n * (2 * net.p - 1) * net.q) / root_n
@@ -194,7 +236,7 @@ def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:
         w_n_i=w_n_i,
         w_tilde=w_tilde,
         mean_square_w=float(np.mean(w_n_i**2)),
-        in_degree_mean=v.mean(axis=0),
+        in_degree_mean=in_degree / n,
         sign_mean=float(u.mean()),
     )
 

@@ -26,6 +26,11 @@ suffices); a grid crossing stores the undecayed state with its sync time and
 close decays every recorded column to its grid time in one pass.  Any other
 kernel re-evaluates the spike history in a window truncated where phi drops
 below 1e-12 of its sup.
+
+Neither reads a dense weight matrix.  Both take the uint8 adjacency and the
+per-source coefficients theta * U_j, forming each weight as
+(theta * U_j) * float(V_ji): bit for bit the entry of net.signed_rows, which
+stays the definition the reconvolution oracle reads.
 """
 
 import bisect
@@ -45,7 +50,7 @@ from .errors import (
     UnsupportedTransferError,
 )
 from .kernels import Kernel, TransferFunction, convolve_with_path
-from .network import NetworkConfiguration
+from .network import NetworkConfiguration, row_blocks
 from .rng import ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, stream
 from .volterra import _resolve_grid
 
@@ -155,7 +160,7 @@ class SimulationResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lazy_decay(grid, signed, kernel, transfer, cfg):
+def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     """(at, fire, close) over one lazily decayed input vector.
 
     Exponential kernel only: all components share the decay factor, so the
@@ -165,11 +170,18 @@ def _lazy_decay(grid, signed, kernel, transfer, cfg):
     exception: h is not linear, so it is taken from the decayed state at the
     crossing.  The closures keep their state in local cells, not attributes:
     at and fire run once per candidate and per event.
+
+    fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
+    preallocated row: the same products as row i of net.signed_rows, added
+    densely so that signed zeros add as they would from that matrix.
     """
     lam = kernel.rate
     exp = math.exp
-    n = len(signed)
+    copyto = np.copyto
+    n = len(adj)
+    coef = coef.tolist()
     state = np.zeros(n)
+    row = np.empty(n)
     t_sync = 0.0
     grid_list = grid.tolist()
     m1 = len(grid)
@@ -188,7 +200,7 @@ def _lazy_decay(grid, signed, kernel, transfer, cfg):
         a = next_idx
         j = bisect.bisect_right(grid_list, t, a)
         tracked_paths[:, a:j] = state[tracked, None]
-        mean_input[a:j] = state.mean()
+        mean_input[a:j] = np.add.reduce(state) / n
         sync[a:j] = t_sync
         if full is not None:
             full[:, a:j] = state[:, None]
@@ -202,11 +214,13 @@ def _lazy_decay(grid, signed, kernel, transfer, cfg):
         return state[i] * exp(-lam * (t - t_sync))
 
     def fire(t, i):
-        nonlocal state, t_sync
+        nonlocal state, row, t_sync
         if t >= next_t:
             record(t)
         state *= exp(-lam * (t - t_sync))
-        state += signed[i]
+        copyto(row, adj[i], casting="unsafe")
+        row *= coef[i]
+        state += row
         t_sync = t
 
     def close(horizon):
@@ -222,19 +236,29 @@ def _lazy_decay(grid, signed, kernel, transfer, cfg):
     return at, fire, close
 
 
-def _windowed_history(grid, signed, kernel, transfer, cfg):
+def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
     """(at, fire, close) over a growing event buffer (any kernel).
 
     S_i(t-) is re-evaluated from the events strictly before t that lie
     within the kernel's truncation lag.  fire records the pending grid points
     as final values before it appends the event; close returns no mean_rate
     and no full input (_setup rejects asking for them).
+
+    Each buffered event keeps its source's coefficient in cbuf, and target
+    i's weights are gathered from row i of a contiguous transposed copy of
+    the adjacency: cbuf * adj_t[i, verts] holds the values of
+    net.signed_rows[verts, i] without the dense matrix.
     """
     padded = kernel.padded
     cut = kernel.truncation_lag()
-    row_mean = signed.mean(axis=1)
+    n = len(adj)
+    adj_t = np.ascontiguousarray(adj.T)
+    row_mean = np.empty(n)
+    for sl in row_blocks(n, n):
+        row_mean[sl] = (coef[sl, None] * adj[sl]).mean(axis=1)
     times = np.empty(4096)
     verts = np.empty(4096, dtype=np.int64)
+    cbuf = np.empty(4096)
     count = 0
     lo = 0
     tracked = cfg.tracked_vertices
@@ -263,7 +287,8 @@ def _windowed_history(grid, signed, kernel, transfer, cfg):
                 continue
             vals = padded(g - ts[:m])
             vsl = verts[start:start + m]
-            tracked_paths[:, idx] = [float(np.dot(vals, signed[vsl, v]))
+            csl = cbuf[start:start + m]
+            tracked_paths[:, idx] = [float(np.dot(vals, csl * adj_t[v, vsl]))
                                      for v in tracked]
             mean_input[idx] = float(np.dot(vals, row_mean[vsl]))
         next_idx = j
@@ -278,17 +303,19 @@ def _windowed_history(grid, signed, kernel, transfer, cfg):
         if m == 0:
             return 0.0
         vals = padded(t - ts[:m])
-        return float(np.dot(vals, signed[verts[lo:lo + m], i]))
+        return float(np.dot(vals, cbuf[lo:lo + m] * adj_t[i, verts[lo:lo + m]]))
 
     def fire(t, i):
-        nonlocal times, verts, count
+        nonlocal times, verts, cbuf, count
         if t >= next_t:
             record(t)
         if count == len(times):
             times = np.concatenate([times, np.empty(len(times))])
             verts = np.concatenate([verts, np.empty(len(verts), dtype=np.int64)])
+            cbuf = np.concatenate([cbuf, np.empty(len(cbuf))])
         times[count] = t
         verts[count] = i
+        cbuf[count] = coef[i]
         count += 1
 
     def close(horizon):
@@ -319,9 +346,10 @@ def _setup(net, kernel, transfer, cfg):
         )
     horizon = float(cfg.horizon)
     grid, _ = _resolve_grid(horizon, cfg.dt)
-    signed = net.signed_rows(cfg.theta(net.n))
+    coef = cfg.theta(net.n) * net.signs.astype(np.float64)
     make = _lazy_decay if kernel.is_exponential else _windowed_history
-    return (horizon, grid) + make(grid, signed, kernel, transfer, cfg)
+    return (horizon, grid) + make(grid, net.adjacency, coef, kernel, transfer,
+                                  cfg)
 
 
 def _finalize(net, kernel, transfer, cfg, backend, grid, recorded, trains,

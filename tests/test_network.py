@@ -10,8 +10,13 @@ from hawkes_meanfield.network import (
     compute_weight_statistics,
     network_from_dict,
     network_to_dict,
+    row_blocks,
     sample_network,
 )
+from hawkes_meanfield.rng import NETWORK, stream
+
+# one row block, one partial block, several blocks with a partial last one
+DRAW_SIZES = (1, 300, 1100)
 
 
 def test_same_seed_reproduces_matrices():
@@ -81,6 +86,45 @@ def test_explicit_matrices_validated():
         NetworkConfiguration(n=2, p=0.5, q=0.5,
                              adjacency=np.full((2, 2), 2, dtype=np.uint8),
                              signs=np.ones(2, dtype=np.int8))
+
+
+def test_draw_sizes_cover_single_partial_and_multiple_blocks():
+    blocks = [row_blocks(n, n) for n in DRAW_SIZES]
+    assert len(blocks[0]) == 1
+    assert len(blocks[1]) == 1 and blocks[1][0].stop == 300
+    last = blocks[2][-1]
+    assert len(blocks[2]) > 1 and last.stop - last.start < blocks[2][0].stop
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_row_blocked_draw_matches_one_shot_reference(n):
+    p, q, seed = 0.7, 0.35, 13
+    g = stream(seed, NETWORK)
+    adjacency = (g.random((n, n)) < q).astype(np.uint8)
+    signs = np.where(g.random(n) < p, 1, -1).astype(np.int8)
+    net = sample_network(n, p, q, seed)
+    np.testing.assert_array_equal(net.adjacency, adjacency)
+    np.testing.assert_array_equal(net.signs, signs)
+
+
+@pytest.mark.parametrize("n", (2, 4, 300, 1100))
+def test_complementary_row_blocked_draw_matches_one_shot_reference(n):
+    seed, m = 13, n // 2
+    g = stream(seed, NETWORK)
+    perm = g.permutation(n)
+    ones = (m + 1) // 2
+    pattern = np.concatenate([np.ones(ones, dtype=np.int8),
+                              -np.ones(m - ones, dtype=np.int8)])
+    signs = np.empty(n, dtype=np.int8)
+    signs[perm[:m]] = g.permutation(pattern)
+    signs[perm[m:]] = g.permutation(pattern)
+    adjacency = np.zeros((n, n), dtype=np.uint8)
+    adjacency[perm[:m], 0] = 1
+    adjacency[perm[m:], 1] = 1
+    adjacency[:, 2:] = g.random((n, n - 2)) < 0.5
+    net = build_complementary_network(n, seed)
+    np.testing.assert_array_equal(net.adjacency, adjacency)
+    np.testing.assert_array_equal(net.signs, signs)
 
 
 def test_signed_rows_matches_definition():
