@@ -1,17 +1,19 @@
-"""Bit-identity gate for the simulator's event loops.
+"""Bit-identity gate for the simulator's event loops and the experiments.
 
 SHA-256 digests of the spike trains, the recorded input paths and the
 diagnostics at fixed seeds, for both backends under the exponential kernel
-(lazy decay) and under a tabulated kernel (windowed history).  A refactor of
-the event loops or the grid recorder must reproduce every digest; a change that alters the RNG stream
-layout or float rounding of these outputs must say so in CHANGES.md and
-regenerate the table with
+(lazy decay) and under a tabulated kernel (windowed history); and of the
+report.json text of every experiment (both critical modes) at toy scale on
+both backends.  A refactor of the event loops, the grid recorder or the
+experiment drivers must reproduce every digest; a change that alters the RNG
+stream layout or float rounding of these outputs must say so in CHANGES.md
+and regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
 
-The recorded paths pass through numpy's vectorised exp, whose last bit
-depends on the SIMD path numpy dispatches to.  Their digests are therefore
-compared only on a machine with the numpy version and dispatch targets stored
+The recorded paths, and every report built from them, pass through numpy's
+vectorised exp, whose last bit depends on the SIMD path numpy dispatches to.
+Their digests are therefore compared only on a machine with the numpy version and dispatch targets stored
 under "machine" in the table; everywhere the paths are also checked against a
 brute-force reconvolution of the spike trains at a tight tolerance.
 """
@@ -24,6 +26,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hawkes_meanfield.analysis import run_experiment
+from hawkes_meanfield.cli import _json_text
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                      tabulated_kernel)
 from hawkes_meanfield.network import sample_network
@@ -119,6 +123,43 @@ def _table():
     return json.loads(HASHES.read_text())
 
 
+# report id -> (experiment, kernel, keyword arguments) at toy scale
+_REPORTS = {
+    "lln": ("lln", "exponential", dict(
+        sizes=[15, 60], p=0.8, q=0.5, horizon=1.5, replicates=3, seed=101)),
+    "clt": ("clt", "exponential", dict(
+        n=24, p=0.8, q=0.5, horizon=1.0, replicates=8, limit_samples=64,
+        seed=5)),
+    "corollary": ("corollary", "exponential", dict(
+        sizes=[15, 30], p=0.8, q=0.5, horizon=1.0, replicates=8, seed=1)),
+    "critical-random": ("critical", "exponential", dict(
+        n=20, horizon=2.0, replicates=5, seed=7)),
+    "critical-complementary": ("critical", "exponential", dict(
+        n=16, horizon=2.0, replicates=6, seed=7, complementary=True)),
+    "independence": ("independence", "exponential", dict(
+        sizes=[12, 24], p=0.8, q=0.5, horizon=1.0, replicates=10, seed=9,
+        m_vertices=3)),
+    "independence-tab": ("independence", "tabulated", dict(
+        sizes=[12, 24], p=0.8, q=0.5, horizon=1.0, replicates=10, seed=9,
+        m_vertices=3)),
+}
+
+
+def _report_cases():
+    return sorted(f"{name}-{backend}" for name in _REPORTS
+                  for backend in BACKENDS)
+
+
+def _report_digest(case):
+    """SHA-256 of the report.json text that `verify` writes for the case."""
+    name, backend = case.rsplit("-", 1)
+    experiment, kernel, kwargs = _REPORTS[name]
+    report = run_experiment(experiment, kernel=KERNELS[kernel],
+                            transfer=arctan_transfer(), backend=backend,
+                            **kwargs)
+    return hashlib.sha256(_json_text(report.to_dict()).encode()).hexdigest()
+
+
 def _check_trains_and_diagnostics(case):
     expected = _table()["cases"][case]
     got = _hashes(_run(*_cases()[case])[2])
@@ -160,8 +201,18 @@ def test_recorded_paths_match_reconvolution(case):
         np.testing.assert_allclose(res.full_input, exact, **tol)
 
 
+@pytest.mark.parametrize("case", _report_cases())
+def test_report_digests(case):
+    table = _table()
+    if _machine() != table["machine"]:
+        pytest.skip(f"report digests were taken on {table['machine']}")
+    assert _report_digest(case) == table["reports"][case]
+
+
 if __name__ == "__main__":
     table = {"machine": _machine(),
              "cases": {case: _hashes(_run(*args)[2])
-                       for case, args in sorted(_cases().items())}}
+                       for case, args in sorted(_cases().items())},
+             "reports": {case: _report_digest(case)
+                         for case in _report_cases()}}
     print(json.dumps(table, indent=1, sort_keys=True))
