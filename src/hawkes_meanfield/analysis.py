@@ -6,9 +6,12 @@ and derives pass/fail checks from the tables alone.  The split matters: the
 persisted report can be re-judged later and must reproduce its verdicts
 bit for bit.
 
-Replicate r of an experiment uses the derived seed replicate_seed(seed, r)
-(shifted by a per-size block for multi-size experiments), from which both
-the network and the event noise draw their disjoint streams.
+Seed layout: replicate r at the b-th entry of an experiment's sizes (b = 0
+for the single-size clt and critical) uses replicate_seed(seed,
+b * replicates + r), from which both the network and the event noise draw
+their disjoint streams.  The one fixed network of complementary critical
+runs uses net_seed, by default replicate_seed(seed, 1 << 20).  `_replicates`
+is the only loop over replicates.
 """
 
 import logging
@@ -164,19 +167,57 @@ def _reverdict(report: ExperimentReport) -> list:
     return fn(report.tables, report.tolerances)
 
 
-def _simulate(backend, net, kernel, transfer, cfg):
+def _backend(backend):
     try:
-        run = _BACKENDS[backend]
+        return _BACKENDS[backend]
     except KeyError:
         raise ParameterError(
             f"backend must be one of {sorted(_BACKENDS)}, got {backend!r}"
         ) from None
-    return run(net, kernel, transfer, cfg)
+
+
+def _replicates(run, reduce, *, sizes, replicates, seed, kernel, transfer,
+                horizon, dt, p, q, net=None, **record):
+    """[[reduce(n, net, result) for each replicate] for each size].
+
+    Seeds follow the layout in the module docstring.  Each replicate
+    simulates a fresh sample_network(n, p, q, seed), or the fixed `net` when
+    one is given, under SimulationConfig(horizon, seed, dt, **record).  The
+    replicate's network and result are released before the next network is
+    drawn, so reduce must return small values only: one replicate is alive
+    at a time.
+    """
+    out = []
+    for block, n in enumerate(sizes):
+        values = []
+        for r in range(replicates):
+            rs = replicate_seed(seed, block * replicates + r)
+            rep_net = sample_network(n, p, q, rs) if net is None else net
+            cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt, **record)
+            res = run(rep_net, kernel, transfer, cfg)
+            values.append(reduce(n, rep_net, res))
+            del rep_net, res
+        out.append(values)
+        log.info("n=%d: %d replicate(s) done", n, replicates)
+    return out
+
+
+def _jackknife_se(loo):
+    """Jackknife standard error from a statistic's leave-one-out values."""
+    r = len(loo)
+    return math.sqrt((r - 1) / r * float(np.sum((loo - loo.mean()) ** 2)))
 
 
 def _se(values):
     v = np.asarray(values, dtype=np.float64)
     return float(v.std(ddof=1) / math.sqrt(len(v)))
+
+
+def _corr(a, b):
+    """Pearson correlation of two samples, 0.0 when either is constant."""
+    if a.std() == 0.0 or b.std() == 0.0:
+        return 0.0
+    return float(np.corrcoef(a, b)[0, 1])
 
 
 def _downsample_stride(grid, target=256):
@@ -208,29 +249,27 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
         )
     if replicates < 3:
         raise ParameterError("need at least 3 replicates")
+    run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
+
+    def reduce(n, net, res):
+        # max |x| is exact in any order: row blocks, no (n, grid) temporary
+        full = res.full_input
+        err = float(np.max([np.max(np.abs(full[sl] - mean_path.values))
+                            for sl in row_blocks(n, full.shape[1])]))
+        return err, res.trains.total_events
+
+    runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
+                       seed=seed, kernel=kernel, transfer=transfer,
+                       horizon=horizon, dt=dt, p=p, q=q,
+                       tracked_vertices=(), record_full=True)
     sup_errors = {}
     events_mean = {}
-    for block, n in enumerate(sizes):
-        errs = []
-        events = []
-        for r in range(replicates):
-            rs = replicate_seed(seed, block * replicates + r)
-            net = sample_network(n, p, q, rs)
-            cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt,
-                                   tracked_vertices=(), record_full=True)
-            res = _simulate(backend, net, kernel, transfer, cfg)
-            # max |x| is exact in any order: row blocks, no (n, grid) temporary
-            full = res.full_input
-            errs.append(float(np.max([
-                np.max(np.abs(full[sl] - mean_path.values))
-                for sl in row_blocks(n, full.shape[1])])))
-            events.append(res.trains.total_events)
-            # release this replicate before the next network is drawn
-            del net, res, full
+    for n, reps in zip(sizes, runs):
+        errs = [err for err, _ in reps]
         sup_errors[str(n)] = errs
-        events_mean[str(n)] = float(np.mean(events))
+        events_mean[str(n)] = float(np.mean([events for _, events in reps]))
         log.info("lln n=%d: median sup error %.4g", n, np.median(errs))
     tables = {
         "sizes": sizes,
@@ -290,33 +329,28 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
             "clt samples the fluctuation limit, whose drift needs h'; "
             "supply a transfer with a derivative"
         )
+    run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
     i_term = mean_path.values[-1]
     root_n = math.sqrt(n)
-    tracked = tuple(range(n_tracked))
-    finite = np.empty((replicates, 1 + n_tracked))
-    for r in range(replicates):
-        rs = replicate_seed(seed, r)
-        net = sample_network(n, p, q, rs)
-        cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt,
-                               tracked_vertices=tracked)
-        res = _simulate(backend, net, kernel, transfer, cfg)
-        finite[r, 0] = root_n * (res.mean_input[-1] - i_term)
-        finite[r, 1:] = root_n * (res.tracked_input[:, -1] - i_term)
-        if r and r % 100 == 0:
-            log.info("clt replicate %d/%d", r, replicates)
+
+    def reduce(n, net, res):
+        terminal = np.concatenate(([res.mean_input[-1]],
+                                   res.tracked_input[:, -1]))
+        return root_n * (terminal - i_term)
+
+    finite = np.array(_replicates(
+        run, reduce, sizes=[n], replicates=replicates, seed=seed,
+        kernel=kernel, transfer=transfer, horizon=horizon, dt=dt, p=p, q=q,
+        tracked_vertices=tuple(range(n_tracked)))[0])
     limit = sample_terminal_fluctuations(mean_path, kernel, transfer, p, q,
                                          n_tracked, limit_samples, seed)
     lim_rows = np.column_stack([limit["kbar"], limit["k"]])
 
     cov_f, se_f, loo_f = jackknife_covariance(finite, return_loo=True)
     cov_l, se_l, _ = jackknife_covariance(lim_rows, return_loo=True)
-    gap_loo = loo_f[:, 1, 1] - loo_f[:, 1, 2]
-    r_count = len(finite)
-    gap_center = gap_loo.mean()
-    gap_se = math.sqrt((r_count - 1) / r_count
-                       * float(np.sum((gap_loo - gap_center) ** 2)))
+    gap_se = _jackknife_se(loo_f[:, 1, 1] - loo_f[:, 1, 2])
     tables = {
         "n": n,
         "finite": {
@@ -413,6 +447,7 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
             "the linearization check needs a curvature bound "
             "(transfer.second_deriv_sup)"
         )
+    run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
     i_term = mean_path.values[-1]
@@ -421,32 +456,35 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
     rate_integral = float(np.trapezoid(transfer(mean_path.values),
                                        mean_path.grid))
 
+    def reduce(n, net, res):
+        """(sup, X^0_T, signed average at T, linearization excess)."""
+        root_n = math.sqrt(n)
+        paths = extract_martingale_paths(res, vertices=(0,))
+        s_term = float(res.tracked_input[0, -1])
+        k_term = root_n * (s_term - i_term)
+        lhs = abs(root_n * (float(transfer(s_term)) - h_term)
+                  - hp_term * k_term)
+        bound = 0.5 * transfer.second_deriv_sup * k_term**2 / root_n
+        return (float(np.max(np.abs(paths.x0))) / root_n,
+                float(paths.x0[-1]), float(paths.mean_martingale[-1]),
+                lhs - bound)
+
+    runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
+                       seed=seed, kernel=kernel, transfer=transfer,
+                       horizon=horizon, dt=dt, p=p, q=q,
+                       tracked_vertices=(0,), record_full=True)
     sup_stats = {}
     x0_terminal = []
     xu_terminal = []
     lin_excess = -math.inf
-    for block, n in enumerate(sizes):
-        sups = []
-        root_n = math.sqrt(n)
-        for r in range(replicates):
-            rs = replicate_seed(seed, block * replicates + r)
-            net = sample_network(n, p, q, rs)
-            cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt,
-                                   tracked_vertices=(0,), record_full=True)
-            res = _simulate(backend, net, kernel, transfer, cfg)
-            paths = extract_martingale_paths(res, vertices=(0,))
-            sups.append(float(np.max(np.abs(paths.x0))) / root_n)
-            if n == sizes[-1]:
-                x0_terminal.append(float(paths.x0[-1]))
-                xu_terminal.append(float(paths.mean_martingale[-1]))
-                s_term = float(res.tracked_input[0, -1])
-                k_term = root_n * (s_term - i_term)
-                lhs = abs(root_n * (float(transfer(s_term)) - h_term)
-                          - hp_term * k_term)
-                bound = 0.5 * transfer.second_deriv_sup * k_term**2 / root_n
-                lin_excess = max(lin_excess, lhs - bound)
-        sup_stats[str(n)] = sups
-        log.info("corollary n=%d: median sup %.4g", n, np.median(sups))
+    for n, reps in zip(sizes, runs):
+        sup_stats[str(n)] = [rep[0] for rep in reps]
+        log.info("corollary n=%d: median sup %.4g", n,
+                 np.median(sup_stats[str(n)]))
+        if n == sizes[-1]:
+            x0_terminal += [rep[1] for rep in reps]
+            xu_terminal += [rep[2] for rep in reps]
+            lin_excess = max([lin_excess] + [rep[3] for rep in reps])
 
     x0 = np.asarray(x0_terminal)
     xu = np.asarray(xu_terminal)
@@ -530,14 +568,21 @@ def _jackknife_scalar(values, statistic):
     loo = np.array([
         float(statistic(np.delete(values, i, axis=0))) for i in range(r)
     ])
-    center = loo.mean()
-    se = math.sqrt((r - 1) / r * float(np.sum((loo - center) ** 2)))
-    return full, se, loo
+    return full, _jackknife_se(loo), loo
 
 
 # ----------------------------------------------------------------------
 # critical regime
 # ----------------------------------------------------------------------
+
+# per-replicate paths of a critical run, downsampled into tables["series"]
+_CRITICAL_SERIES = (
+    "bracket_realized", "bracket_cross", "covariation_exact",
+    "covariation_mean_rate", "covariation_limit", "drift_vertex0",
+    "drift_vertex1", "martingale_vertex0", "martingale_vertex1",
+    "mtilde_vertex0", "mtilde_vertex1",
+)
+
 
 def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
                         seed, backend="thinning", complementary=False,
@@ -562,6 +607,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         raise WrongRegimeError("the complementary construction fixes q = 1/2")
     if not (0.0 < q < 1.0):
         raise WrongRegimeError("critical bracket structure needs 0 < q < 1")
+    run = _backend(backend)
     tol = _tol(tolerances)
     p = 0.5
 
@@ -571,30 +617,8 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
             net_seed = replicate_seed(seed, 1 << 20)
         fixed_net = build_complementary_network(n, net_seed)
 
-    grid = None
-    stride = None
-    series = {name: [] for name in (
-        "bracket_realized", "bracket_cross", "covariation_exact",
-        "covariation_mean_rate", "covariation_limit", "drift_vertex0",
-        "drift_vertex1", "martingale_vertex0", "martingale_vertex1",
-        "mtilde_vertex0", "mtilde_vertex1",
-    )}
-    slope_diag = []
-    slope_target = []
-    slope_cross = []
-    increment_corr = []
-    drift0_full = []
-    drift1_full = []
-    drift_gap_full = []
-    cross_coeff = []
-
-    for r in range(replicates):
-        rs = replicate_seed(seed, r)
-        net = fixed_net if complementary else sample_network(n, p, q, rs)
-        cfg = SimulationConfig(horizon=horizon, seed=rs, scaling="critical",
-                               dt=dt, tracked_vertices=(0, 1),
-                               record_full=True)
-        res = _simulate(backend, net, kernel, transfer, cfg)
+    def reduce(n, net, res):
+        """Per-replicate slopes, cross coefficient and downsampled series."""
         paths = extract_martingale_paths(res, vertices=(0, 1))
         ident = np.max(np.abs(paths.m_per_vertex
                               - (paths.m_tilde
@@ -603,67 +627,53 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
             raise ContractError(
                 f"martingale split identity violated by {ident:.3g}"
             )
-        if grid is None:
-            grid = paths.grid
-            stride = _downsample_stride(grid)
-        comp = paths.compensators
+        stride = _downsample_stride(paths.grid)
         centered0 = net.adjacency[:, 0].astype(np.float64) - net.q
         centered1 = net.adjacency[:, 1].astype(np.float64) - net.q
-        predictable = (centered0**2 @ comp) / n
+        predictable = (centered0**2 @ paths.compensators) / n
         c00 = float(np.mean(centered0**2))
-        c01 = float(np.mean(centered0 * centered1))
-        cross_coeff.append(c01)
-
         bracket00 = paths.brackets[(0, 0)]
         bracket01 = paths.brackets[(0, 1)]
-        slope_diag.append(float(bracket00[-1] / horizon))
-        slope_target.append(float(net.q * (1.0 - net.q)
-                                  * paths.hbar_int[-1] / horizon))
-        slope_cross.append(float(bracket01[-1] / horizon))
+        rows = (bracket00, bracket01, predictable, c00 * paths.hbar_int,
+                net.q * (1.0 - net.q) * paths.hbar_int, *paths.drifts,
+                *paths.m_per_vertex, *paths.m_tilde)
+        return {
+            "t_grid": paths.grid[::stride],
+            "series": {name: row[::stride]
+                       for name, row in zip(_CRITICAL_SERIES, rows)},
+            "slope_diag": float(bracket00[-1] / horizon),
+            "slope_target": float(net.q * (1.0 - net.q)
+                                  * paths.hbar_int[-1] / horizon),
+            "slope_cross": float(bracket01[-1] / horizon),
+            "cross_coefficient": float(np.mean(centered0 * centered1)),
+        }
 
-        series["bracket_realized"].append(bracket00[::stride])
-        series["bracket_cross"].append(bracket01[::stride])
-        series["covariation_exact"].append(predictable[::stride])
-        series["covariation_mean_rate"].append((c00 * paths.hbar_int)[::stride])
-        series["covariation_limit"].append(
-            (net.q * (1.0 - net.q) * paths.hbar_int)[::stride])
-        series["drift_vertex0"].append(paths.drifts[0, ::stride])
-        series["drift_vertex1"].append(paths.drifts[1, ::stride])
-        series["martingale_vertex0"].append(paths.m_per_vertex[0, ::stride])
-        series["martingale_vertex1"].append(paths.m_per_vertex[1, ::stride])
-        series["mtilde_vertex0"].append(paths.m_tilde[0, ::stride])
-        series["mtilde_vertex1"].append(paths.m_tilde[1, ::stride])
-
-        if complementary:
-            inc0 = np.diff(paths.m_tilde[0, ::stride])
-            inc1 = np.diff(paths.m_tilde[1, ::stride])
-            if inc0.std() == 0.0 or inc1.std() == 0.0:
-                increment_corr.append(0.0)
-            else:
-                increment_corr.append(float(np.corrcoef(inc0, inc1)[0, 1]))
-            drift0_full.append(paths.drifts[0, ::stride])
-            drift1_full.append(paths.drifts[1, ::stride])
-            drift_gap_full.append(paths.drifts[0, ::stride]
-                                  - paths.drifts[1, ::stride])
-        log.info("critical replicate %d/%d done", r + 1, replicates)
-
+    reps = _replicates(run, reduce, sizes=[n], replicates=replicates,
+                       seed=seed, kernel=kernel, transfer=transfer,
+                       horizon=horizon, dt=dt, p=p, q=q, net=fixed_net,
+                       scaling="critical", tracked_vertices=(0, 1),
+                       record_full=True)[0]
+    series = {name: [rep["series"][name] for rep in reps]
+              for name in _CRITICAL_SERIES}
     tables = {
         "mode": "complementary" if complementary else "random",
         "n": n,
         "q": q,
         "horizon": horizon,
         "replicates": replicates,
-        "t_grid": grid[::stride],
+        "t_grid": reps[0]["t_grid"],
         "series": series,
-        "slope_diag": slope_diag,
-        "slope_target": slope_target,
-        "slope_cross": slope_cross,
-        "cross_coefficient": cross_coeff,
     }
+    for key in ("slope_diag", "slope_target", "slope_cross",
+                "cross_coefficient"):
+        tables[key] = [rep[key] for rep in reps]
     if complementary:
-        d0 = np.asarray(drift0_full)
-        d1 = np.asarray(drift1_full)
-        dg = np.asarray(drift_gap_full)
+        increment_corr = [
+            _corr(np.diff(m0), np.diff(m1))
+            for m0, m1 in zip(series["mtilde_vertex0"], series["mtilde_vertex1"])]
+        d0 = np.asarray(series["drift_vertex0"])
+        d1 = np.asarray(series["drift_vertex1"])
+        dg = d0 - d1
         tables["increment_correlations"] = increment_corr
         tables["drift_mean0"] = d0.mean(axis=0)
         tables["drift_mean1"] = d1.mean(axis=0)
@@ -770,31 +780,20 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
         raise ParameterError("m_vertices must be >= 2 and <= every size")
     if replicates < 10:
         raise ParameterError("need at least 10 replicates")
+    run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
     mu = float(np.trapezoid(transfer(mean_path.values), mean_path.grid))
-    counts = {}
-    for block, n in enumerate(sizes):
-        rows = np.empty((replicates, m_vertices), dtype=np.int64)
-        for r in range(replicates):
-            rs = replicate_seed(seed, block * replicates + r)
-            net = sample_network(n, p, q, rs)
-            cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt,
-                                   tracked_vertices=())
-            res = _simulate(backend, net, kernel, transfer, cfg)
-            rows[r] = res.trains.counts()[:m_vertices]
-        counts[str(n)] = rows
-        log.info("independence n=%d done", n)
+    runs = _replicates(
+        run, lambda n, net, res: res.trains.counts()[:m_vertices].copy(),
+        sizes=sizes, replicates=replicates, seed=seed, kernel=kernel,
+        transfer=transfer, horizon=horizon, dt=dt, p=p, q=q,
+        tracked_vertices=())
+    counts = {str(n): np.array(rows) for n, rows in zip(sizes, runs)}
 
     largest = counts[str(sizes[-1])].astype(np.float64)
-    pairs = []
-    for a in range(m_vertices):
-        for b in range(a + 1, m_vertices):
-            ca, cb = largest[:, a], largest[:, b]
-            if ca.std() == 0.0 or cb.std() == 0.0:
-                pairs.append(0.0)
-            else:
-                pairs.append(float(np.corrcoef(ca, cb)[0, 1]))
+    pairs = [_corr(largest[:, a], largest[:, b]) for a in range(m_vertices)
+             for b in range(a + 1, m_vertices)]
     pooled = largest.ravel()
     chi = _poisson_gof(pooled, mu)
 

@@ -187,11 +187,11 @@ def _cmd_meanfield(args):
 def _cmd_fluctuations(args):
     cfg = _load_cfg(args)
     outdir = _ensure_outdir(cfg)
-    mean_path = solve_mean_field(cfg.build_kernel(), cfg.build_transfer(),
-                                 cfg.p, cfg.q, cfg.horizon, cfg.dt)
-    n_comp = len(cfg.tracked_vertices) or 2
     kernel = cfg.build_kernel()
     transfer = cfg.build_transfer()
+    mean_path = solve_mean_field(kernel, transfer, cfg.p, cfg.q, cfg.horizon,
+                                 cfg.dt)
+    n_comp = len(cfg.tracked_vertices) or 2
     stride = max(1, (len(mean_path.grid) - 1) // 256)
     rows = []
     for r in range(cfg.replicates):

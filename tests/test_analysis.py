@@ -91,6 +91,28 @@ def test_clt_refuses_a_transfer_without_derivative_before_simulating(
                            seed=1, backend=backend)
 
 
+def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("computed before the backend was checked")
+
+    for name in ("solve_mean_field", "sample_network",
+                 "build_complementary_network"):
+        monkeypatch.setattr(analysis, name, no_compute)
+    calls = [
+        ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3)),
+        ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64)),
+        ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8)),
+        ("critical", dict(n=16, replicates=6)),
+        ("critical", dict(n=16, replicates=6, complementary=True)),
+        ("independence", dict(sizes=[24], p=0.8, q=0.5, replicates=10,
+                              m_vertices=3)),
+    ]
+    for name, kwargs in calls:
+        with pytest.raises(ParameterError, match="backend"):
+            run_experiment(name, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                           seed=1, backend="bogus", **kwargs)
+
+
 def test_linearization_needs_curvature_bound():
     nodes = np.linspace(-5.0, 5.0, 201)
     smooth = tabulated_transfer(nodes, 1.0 + 0.1 * np.tanh(nodes),

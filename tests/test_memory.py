@@ -1,8 +1,11 @@
-"""Peak-memory bounds: no dense (n, n) float matrix while sampling or simulating.
+"""Peak-memory bounds: no dense (n, n) float matrix, one replicate at a time.
 
 The network stores one byte per ordered pair (n^2 bytes).  Drawing it and
 running either event loop must not add a float64 (n, n) block (8 n^2 bytes)
 on top, so each traced peak stays below 2 n^2 bytes at n = 2000.
+
+An experiment holds one replicate at a time: its peak stays within 5% of the
+peak of a single replicate (network, simulation, martingale extraction).
 """
 
 import tracemalloc
@@ -10,10 +13,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hawkes_meanfield.analysis import (corollary_experiment,
+                                       critical_experiment)
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                       tabulated_kernel)
 from hawkes_meanfield.network import build_complementary_network, sample_network
-from hawkes_meanfield.simulator import (SimulationConfig, simulate_thinning,
+from hawkes_meanfield.simulator import (SimulationConfig,
+                                        extract_martingale_paths,
+                                        simulate_thinning,
                                         simulate_time_change)
 
 N = 2000
@@ -51,3 +58,31 @@ def test_simulation_peak_below_two_bytes_per_pair(backend, kernel):
     peak = _traced_peak(BACKENDS[backend], net, KERNELS[kernel],
                         arctan_transfer(), cfg)
     assert peak < BOUND, f"{backend}/{kernel}: peak {peak} B >= 2 n^2 = {BOUND} B"
+
+
+def _one_replicate(n, p, horizon, scaling, vertices):
+    net = sample_network(n, p, 0.5, seed=7)
+    cfg = SimulationConfig(horizon=horizon, seed=7, scaling=scaling,
+                           tracked_vertices=vertices, record_full=True)
+    res = simulate_thinning(net, KERNELS["exponential"], arctan_transfer(),
+                            cfg)
+    extract_martingale_paths(res, vertices=vertices)
+
+
+@pytest.mark.parametrize("experiment", ["corollary", "critical-random"])
+def test_experiment_peak_is_one_replicate(experiment):
+    n, horizon = 1500, 0.1
+    common = dict(kernel=KERNELS["exponential"], transfer=arctan_transfer(),
+                  horizon=horizon, seed=7)
+    if experiment == "corollary":
+        single = _traced_peak(_one_replicate, n, 0.8, horizon, "mean_field",
+                              (0,))
+        peak = _traced_peak(lambda: corollary_experiment(
+            sizes=[200, n], p=0.8, q=0.5, replicates=8, **common))
+    else:
+        single = _traced_peak(_one_replicate, n, 0.5, horizon, "critical",
+                              (0, 1))
+        peak = _traced_peak(lambda: critical_experiment(
+            n=n, replicates=5, **common))
+    assert peak <= 1.05 * single, (
+        f"{experiment}: peak {peak} B > 1.05 x one replicate {single} B")
