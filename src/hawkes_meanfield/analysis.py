@@ -1,10 +1,11 @@
 """Replicated experiments that confront simulation with the limit theory.
 
-Each experiment runs seeded replicates, reduces them to plain-data tables,
-and derives pass/fail checks from the tables alone.  The split matters: the
-``*_verdicts`` functions are pure functions of (tables, tolerances), so a
-persisted report can be re-judged later and must reproduce its verdicts
-bit for bit.
+Each experiment runs seeded replicates, reduces them to tables, and hands
+them to `_report`, which stores them as plain data and judges the stored
+form.  The split matters: the ``*_verdicts`` functions are pure functions
+of (tables, tolerances), and a run and a replay (`_reverdict`) apply them
+to the same data, so a persisted report re-judges to its verdicts bit for
+bit.
 
 Seed layout: replicate r at the b-th entry of an experiment's sizes (b = 0
 for the single-size clt and critical) uses replicate_seed(seed,
@@ -22,6 +23,7 @@ import numpy as np
 from scipy import stats as sps
 
 from .errors import (
+    ConfigError,
     ContractError,
     DerivativeUnavailableError,
     ParameterError,
@@ -92,12 +94,8 @@ def _pure(obj):
         return [_pure(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_pure(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        return obj.item()
     return obj
 
 
@@ -151,6 +149,13 @@ class ExperimentReport:
 
 
 def report_from_dict(data: dict) -> ExperimentReport:
+    """The report that to_dict() wrote; ConfigError if data is not one."""
+    if not isinstance(data, dict) or data.get("experiment") not in _EXPERIMENTS:
+        raise ConfigError("report: expected an object whose experiment is "
+                          "one of " + ", ".join(_EXPERIMENTS))
+    for key in ("params", "tolerances", "tables"):
+        if not isinstance(data.get(key), dict):
+            raise ConfigError(f"report.{key}: expected an object")
     return ExperimentReport(
         experiment=data["experiment"], params=data["params"],
         tolerances=data["tolerances"], tables=data["tables"],
@@ -158,13 +163,18 @@ def report_from_dict(data: dict) -> ExperimentReport:
     )
 
 
-_VERDICT_FUNCTIONS = {}
-
-
 def _reverdict(report: ExperimentReport) -> list:
     """Recompute the checks of a (possibly deserialized) report."""
-    fn = _VERDICT_FUNCTIONS[report.experiment]
-    return fn(report.tables, report.tolerances)
+    verdicts = _EXPERIMENTS[report.experiment][1]
+    return verdicts(report.tables, report.tolerances)
+
+
+def _report(name, tol, tables, *, kernel, transfer, **params):
+    """The report of experiment `name`, judged from its stored tables."""
+    tables = _pure(tables)
+    params.update(kernel=kernel.kind, transfer=transfer.kind)
+    checks = _EXPERIMENTS[name][1](tables, tol)
+    return ExperimentReport(name, params, tol, tables, checks)
 
 
 def _backend(backend):
@@ -278,11 +288,9 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
         "events_mean": events_mean,
         "replicates": replicates,
     }
-    params = {"sizes": sizes, "p": p, "q": q, "horizon": horizon,
-              "replicates": replicates, "seed": seed, "backend": backend,
-              "dt": dt, "kernel": kernel.kind, "transfer": transfer.kind}
-    checks = lln_verdicts(tables, tol)
-    return ExperimentReport("lln", params, tol, _pure(tables), checks)
+    return _report("lln", tol, tables, kernel=kernel, transfer=transfer,
+                   sizes=sizes, p=p, q=q, horizon=horizon,
+                   replicates=replicates, seed=seed, backend=backend, dt=dt)
 
 
 def lln_verdicts(tables, tolerances):
@@ -300,9 +308,6 @@ def lln_verdicts(tables, tolerances):
         detail=f"median({sizes[0]}) / median({sizes[-1]})",
     ))
     return checks
-
-
-_VERDICT_FUNCTIONS["lln"] = lln_verdicts
 
 
 # ----------------------------------------------------------------------
@@ -369,12 +374,10 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
         "q": q,
         "values_finite": finite,
     }
-    params = {"n": n, "p": p, "q": q, "horizon": horizon,
-              "replicates": replicates, "limit_samples": limit_samples,
-              "n_tracked": n_tracked, "seed": seed, "backend": backend,
-              "dt": dt, "kernel": kernel.kind, "transfer": transfer.kind}
-    checks = clt_verdicts(tables, tol)
-    return ExperimentReport("clt", params, tol, _pure(tables), checks)
+    return _report("clt", tol, tables, kernel=kernel, transfer=transfer,
+                   n=n, p=p, q=q, horizon=horizon, replicates=replicates,
+                   limit_samples=limit_samples, n_tracked=n_tracked,
+                   seed=seed, backend=backend, dt=dt)
 
 
 def clt_verdicts(tables, tolerances):
@@ -415,9 +418,6 @@ def clt_verdicts(tables, tolerances):
             detail="structure check only applies for 0 < q < 1",
         ))
     return checks
-
-
-_VERDICT_FUNCTIONS["clt"] = clt_verdicts
 
 
 # ----------------------------------------------------------------------
@@ -512,11 +512,9 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
         "coupling": {"corr": corr, "se": corr_se, "target": 2.0 * p - 1.0,
                      "signed_values": xu_terminal},
     }
-    params = {"sizes": sizes, "p": p, "q": q, "horizon": horizon,
-              "replicates": replicates, "seed": seed, "backend": backend,
-              "dt": dt, "kernel": kernel.kind, "transfer": transfer.kind}
-    checks = corollary_verdicts(tables, tol)
-    return ExperimentReport("corollary", params, tol, _pure(tables), checks)
+    return _report("corollary", tol, tables, kernel=kernel,
+                   transfer=transfer, sizes=sizes, p=p, q=q, horizon=horizon,
+                   replicates=replicates, seed=seed, backend=backend, dt=dt)
 
 
 def corollary_verdicts(tables, tolerances):
@@ -553,9 +551,6 @@ def corollary_verdicts(tables, tolerances):
         coup["corr"], coup["target"], z_band * coup["se"],
     ))
     return checks
-
-
-_VERDICT_FUNCTIONS["corollary"] = corollary_verdicts
 
 
 def _jackknife_scalar(values, statistic):
@@ -630,20 +625,19 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         stride = _downsample_stride(paths.grid)
         centered0 = net.adjacency[:, 0].astype(np.float64) - net.q
         centered1 = net.adjacency[:, 1].astype(np.float64) - net.q
-        predictable = (centered0**2 @ paths.compensators) / n
         c00 = float(np.mean(centered0**2))
+        qq_hbar = net.q * (1.0 - net.q) * paths.hbar_int
         bracket00 = paths.brackets[(0, 0)]
         bracket01 = paths.brackets[(0, 1)]
-        rows = (bracket00, bracket01, predictable, c00 * paths.hbar_int,
-                net.q * (1.0 - net.q) * paths.hbar_int, *paths.drifts,
+        rows = (bracket00, bracket01, paths.predictable[(0, 0)],
+                c00 * paths.hbar_int, qq_hbar, *paths.drifts,
                 *paths.m_per_vertex, *paths.m_tilde)
         return {
             "t_grid": paths.grid[::stride],
             "series": {name: row[::stride]
                        for name, row in zip(_CRITICAL_SERIES, rows)},
             "slope_diag": float(bracket00[-1] / horizon),
-            "slope_target": float(net.q * (1.0 - net.q)
-                                  * paths.hbar_int[-1] / horizon),
+            "slope_target": float(qq_hbar[-1] / horizon),
             "slope_cross": float(bracket01[-1] / horizon),
             "cross_coefficient": float(np.mean(centered0 * centered1)),
         }
@@ -683,12 +677,10 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         tables["drift_gap_se"] = dg.std(axis=0, ddof=1) / math.sqrt(replicates)
         tables["sign_residual"] = fixed_net.sign_sum
         tables["net_seed"] = net_seed
-    params = {"n": n, "p": p, "q": q, "horizon": horizon,
-              "replicates": replicates, "seed": seed, "backend": backend,
-              "complementary": complementary, "dt": dt,
-              "kernel": kernel.kind, "transfer": transfer.kind}
-    checks = critical_verdicts(tables, tol)
-    return ExperimentReport("critical", params, tol, _pure(tables), checks)
+    return _report("critical", tol, tables, kernel=kernel,
+                   transfer=transfer, n=n, p=p, q=q, horizon=horizon,
+                   replicates=replicates, seed=seed, backend=backend,
+                   complementary=complementary, dt=dt)
 
 
 def critical_verdicts(tables, tolerances):
@@ -754,9 +746,6 @@ def critical_verdicts(tables, tolerances):
     return checks
 
 
-_VERDICT_FUNCTIONS["critical"] = critical_verdicts
-
-
 # ----------------------------------------------------------------------
 # asymptotic independence
 # ----------------------------------------------------------------------
@@ -808,12 +797,10 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
         "poisson": chi,
         "poisson_mean": mu,
     }
-    params = {"sizes": sizes, "p": p, "q": q, "horizon": horizon,
-              "replicates": replicates, "m_vertices": m_vertices,
-              "seed": seed, "backend": backend, "dt": dt,
-              "kernel": kernel.kind, "transfer": transfer.kind}
-    checks = independence_verdicts(tables, tol)
-    return ExperimentReport("independence", params, tol, _pure(tables), checks)
+    return _report("independence", tol, tables, kernel=kernel,
+                   transfer=transfer, sizes=sizes, p=p, q=q, horizon=horizon,
+                   replicates=replicates, m_vertices=m_vertices, seed=seed,
+                   backend=backend, dt=dt)
 
 
 def _poisson_gof(samples, mu):
@@ -868,22 +855,20 @@ def independence_verdicts(tables, tolerances):
     return checks
 
 
-_VERDICT_FUNCTIONS["independence"] = independence_verdicts
-
-
+# name -> (experiment, verdicts); config and cli take their names from here
 _EXPERIMENTS = {
-    "lln": lln_experiment,
-    "clt": clt_experiment,
-    "corollary": corollary_experiment,
-    "critical": critical_experiment,
-    "independence": independence_experiment,
+    "lln": (lln_experiment, lln_verdicts),
+    "clt": (clt_experiment, clt_verdicts),
+    "corollary": (corollary_experiment, corollary_verdicts),
+    "critical": (critical_experiment, critical_verdicts),
+    "independence": (independence_experiment, independence_verdicts),
 }
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
     """Dispatch to the named experiment with keyword arguments."""
     try:
-        fn = _EXPERIMENTS[name]
+        fn = _EXPERIMENTS[name][0]
     except KeyError:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"

@@ -18,7 +18,6 @@ usage or config errors.
 
 import argparse
 import concurrent.futures
-import dataclasses
 import functools
 import json
 import os
@@ -26,15 +25,15 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import ExperimentReport, report_from_dict, run_experiment
-from .config import (EXPERIMENTS, experiment_kwargs, load_config,
+from .analysis import (_BACKENDS, _downsample_stride, report_from_dict,
+                       run_experiment)
+from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, load_config,
                      validate_config)
 from .errors import ConfigError, ToolkitError
 from .fluctuations import simulate_fluctuations
 from .network import sample_network
 from .rng import replicate_seed
-from .simulator import (SimulationConfig, format_spike_trains,
-                        simulate_thinning, simulate_time_change)
+from .simulator import SimulationConfig, format_spike_trains
 from .volterra import solve_mean_field
 
 __all__ = ["main"]
@@ -136,9 +135,8 @@ def _events_csv(doc, r):
                          cfg.net_seed if cfg.net_seed is not None else rs)
     sim_cfg = SimulationConfig(horizon=cfg.horizon, seed=rs,
                                scaling=cfg.scaling, dt=cfg.dt)
-    simulate = (simulate_thinning if cfg.backend == "thinning"
-                else simulate_time_change)
-    res = simulate(net, cfg.build_kernel(), cfg.build_transfer(), sim_cfg)
+    res = _BACKENDS[cfg.backend](net, cfg.build_kernel(),
+                                 cfg.build_transfer(), sim_cfg)
     return format_spike_trains(res.trains, comment="schema: events v1")
 
 
@@ -192,7 +190,7 @@ def _cmd_fluctuations(args):
     mean_path = solve_mean_field(kernel, transfer, cfg.p, cfg.q, cfg.horizon,
                                  cfg.dt)
     n_comp = len(cfg.tracked_vertices) or 2
-    stride = max(1, (len(mean_path.grid) - 1) // 256)
+    stride = _downsample_stride(mean_path.grid)
     rows = []
     for r in range(cfg.replicates):
         sample = simulate_fluctuations(mean_path, kernel, transfer,
@@ -314,9 +312,14 @@ def _cmd_plot_data(args):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
     report = report_from_dict(data)
+    try:
+        text = _plot_csv(report)
+    except (AttributeError, LookupError, TypeError, ValueError) as exc:
+        raise ConfigError(f"report {path}: tables do not hold the "
+                          f"{report.experiment} data ({exc!r})") from exc
     out = Path(args.out) if args.out else path.with_name("plotdata.csv")
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out, _plot_csv(report))
+    _write_atomic(out, text)
     print(f"wrote {out}")
     return 0
 
@@ -344,7 +347,7 @@ def _build_parser():
             sp.add_argument("--seed", type=int, help="override run.seed")
             sp.add_argument("--replicates", type=int,
                             help="override run.replicates")
-            sp.add_argument("--backend", choices=["thinning", "time_change"],
+            sp.add_argument("--backend", choices=list(BACKENDS),
                             help="override run.backend")
         if jobs:
             sp.add_argument("--jobs", type=int, default=None,

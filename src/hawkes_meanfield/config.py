@@ -33,7 +33,7 @@ import dataclasses
 import json
 import math
 
-from .analysis import DEFAULT_TOLERANCES
+from .analysis import _BACKENDS, _EXPERIMENTS, DEFAULT_TOLERANCES
 from .errors import ConfigError
 from .kernels import (arctan_transfer, constant_transfer, exponential_kernel,
                       tabulated_kernel, tabulated_transfer)
@@ -45,19 +45,17 @@ __all__ = [
     "experiment_kwargs",
 ]
 
-EXPERIMENTS = ("lln", "clt", "corollary", "critical", "independence")
-BACKENDS = ("thinning", "time_change")
+EXPERIMENTS = tuple(_EXPERIMENTS)
+BACKENDS = tuple(_BACKENDS)
 SCALINGS = ("mean_field", "critical")
 
-# which sizes shape each experiment expects and which option keys it takes
+# which experiments take a list of sizes, and the option keys (with their
+# defaults) of those that take any
 _LIST_SIZED = {"lln", "corollary", "independence"}
 _OPTION_KEYS = {
-    "lln": {},
     "clt": {"n_tracked": 2, "limit_samples": 10000},
-    "corollary": {},
     "critical": {"complementary": False},
     "independence": {"m_vertices": 2},
-    None: {},
 }
 
 
@@ -358,7 +356,7 @@ def validate_config(raw):
             _fail("output.directory", "expected a string")
         out_dir = output["directory"]
 
-    allowed_options = _OPTION_KEYS[experiment]
+    allowed_options = _OPTION_KEYS.get(experiment, {})
     options = _mapping(raw.get("options", {}), "options")
     if options and not allowed_options:
         which = f"experiment {experiment!r}" if experiment else "a plain run"
@@ -403,21 +401,13 @@ def experiment_kwargs(cfg):
     """Keyword arguments for run_experiment built from a validated config."""
     if cfg.experiment is None:
         raise ConfigError("experiment: required for verify runs")
-    common = dict(kernel=cfg.build_kernel(), transfer=cfg.build_transfer(),
+    # option keys are the experiments' keyword names
+    kwargs = dict(cfg.options, kernel=cfg.build_kernel(),
+                  transfer=cfg.build_transfer(), q=cfg.q,
                   horizon=cfg.horizon, replicates=cfg.replicates,
                   seed=cfg.seed, backend=cfg.backend, dt=cfg.dt,
                   tolerances=cfg.tolerances)
-    if cfg.experiment == "lln":
-        return dict(common, sizes=cfg.n, p=cfg.p, q=cfg.q)
-    if cfg.experiment == "clt":
-        return dict(common, n=cfg.n, p=cfg.p, q=cfg.q,
-                    n_tracked=cfg.options["n_tracked"],
-                    limit_samples=cfg.options["limit_samples"])
-    if cfg.experiment == "corollary":
-        return dict(common, sizes=cfg.n, p=cfg.p, q=cfg.q)
     if cfg.experiment == "critical":
-        return dict(common, n=cfg.n, q=cfg.q,
-                    complementary=cfg.options["complementary"],
-                    net_seed=cfg.net_seed)
-    return dict(common, sizes=cfg.n, p=cfg.p, q=cfg.q,
-                m_vertices=cfg.options["m_vertices"])
+        return dict(kwargs, n=cfg.n, net_seed=cfg.net_seed)
+    size = "sizes" if cfg.experiment in _LIST_SIZED else "n"
+    return dict(kwargs, p=cfg.p, **{size: cfg.n})

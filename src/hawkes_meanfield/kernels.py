@@ -12,7 +12,7 @@ additionally needs h', and the linearization checks need a bound on h''.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

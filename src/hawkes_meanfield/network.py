@@ -14,7 +14,7 @@ directly, and ``signed_rows`` is the dense definition the reconvolution
 oracle and the tests check them against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

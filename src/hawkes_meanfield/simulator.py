@@ -508,15 +508,10 @@ def compensators(result: SimulationResult) -> np.ndarray:
     """
     if result.full_input is None:
         raise RecordingMissingError("compensators need record_full=True")
-    return _rates_and_compensators(result)[1]
-
-
-def _rates_and_compensators(result):
-    """(h(full_input), its trapezoid running integral) on the grid."""
     rates = result.transfer(result.full_input)
     if len(result.grid) < 2:
-        return rates, np.zeros_like(rates)
-    return rates, cumulative_trapezoid(rates, result.grid, axis=1, initial=0.0)
+        return np.zeros_like(rates)
+    return cumulative_trapezoid(rates, result.grid, axis=1, initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -528,29 +523,22 @@ class MartingalePaths:
     the centered-edge martingales of the requested target vertices and
     m_per_vertex the uncentered ones, so m_per_vertex = m_tilde + q * M
     entrywise up to float regrouping.  drifts are the corresponding
-    compensator sums, x0 the unsigned compensated sum, hbar the
-    vertex-averaged rate path with running integral hbar_int.  brackets maps
-    ordered pairs of tracked positions to realized quadratic covariations
-    [m_tilde_k, m_tilde_l] on the grid; bracket_mean is [M, M] up to the
-    sign squares, i.e. the mean counting path.  compensators holds the
-    per-vertex paths int_0^t h(S_j(s)) ds, (n, len(grid)), the same array
-    compensators(result) returns.
+    compensator sums, x0 the unsigned compensated sum, hbar_int the vertex
+    average of the compensators int_0^t h(S_j).  brackets maps ordered pairs
+    of tracked positions to realized quadratic covariations
+    [m_tilde_k, m_tilde_l] on the grid, predictable to their compensators
+    (the same centered-edge weights on the compensators).
     """
 
     grid: np.ndarray
-    vertices: tuple
-    n: int
-    q: float
     mean_martingale: np.ndarray
     m_tilde: np.ndarray
     m_per_vertex: np.ndarray
     drifts: np.ndarray
     x0: np.ndarray
-    hbar: np.ndarray
     hbar_int: np.ndarray
     brackets: dict
-    bracket_mean: np.ndarray
-    compensators: np.ndarray
+    predictable: dict
 
 
 def extract_martingale_paths(result: SimulationResult,
@@ -574,11 +562,7 @@ def extract_martingale_paths(result: SimulationResult,
         if not (0 <= v < n):
             raise ParameterError(f"vertex {v} outside 0..{n - 1}")
     grid = result.grid
-    full_rate, comp = _rates_and_compensators(result)
-    # the rate matrix is reduced before the counts exist, and the counts
-    # become counts - comp in place: two (n, grid) arrays fewer at the peak
-    hbar = full_rate.mean(axis=0)
-    del full_rate
+    comp = compensators(result)
     counts = result.trains.counts_on_grid(grid).astype(np.float64)
 
     u = net.signs.astype(np.float64)
@@ -589,29 +573,26 @@ def extract_martingale_paths(result: SimulationResult,
     w_full = u[:, None] * vcols
 
     brackets = {}
+    predictable = {}
     for a in range(len(vertices)):
         for b in range(a, len(vertices)):
             coeff = centered[:, a] * centered[:, b]
             brackets[(vertices[a], vertices[b])] = (coeff @ counts) / n
-    bracket_mean = counts.mean(axis=0)
+            predictable[(vertices[a], vertices[b])] = (coeff @ comp) / n
+    # the counts become counts - comp in place: one (n, grid) array fewer
     base = counts
     base -= comp
 
     return MartingalePaths(
         grid=grid,
-        vertices=vertices,
-        n=n,
-        q=net.q,
         mean_martingale=(u @ base) / root,
         m_tilde=(w_tilde.T @ base) / root,
         m_per_vertex=(w_full.T @ base) / root,
         drifts=(w_full.T @ comp) / root,
         x0=base.sum(axis=0) / root,
-        hbar=hbar,
         hbar_int=comp.mean(axis=0),
         brackets=brackets,
-        bracket_mean=bracket_mean,
-        compensators=comp,
+        predictable=predictable,
     )
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_meanfield import analysis
+from hawkes_meanfield import analysis, config
 from hawkes_meanfield.analysis import (DEFAULT_TOLERANCES, ExperimentReport,
                                        _jackknife_scalar, _poisson_gof,
                                        _reverdict, clt_experiment,
@@ -157,6 +157,20 @@ def test_reports_survive_json_and_reverdict():
         back = report_from_dict(json.loads(text))
         assert back.checks == rep.checks, rep.experiment
         assert _reverdict(back) == rep.checks, rep.experiment
+
+
+def test_each_experiment_is_judged_by_its_named_verdicts():
+    # bench/run.py re-judges reports through analysis.<name>_verdicts
+    for name, (_, verdicts) in analysis._EXPERIMENTS.items():
+        assert verdicts is getattr(analysis, f"{name}_verdicts"), name
+
+
+def test_config_names_come_from_the_analysis_tables():
+    # the order is part of the config error messages
+    assert config.EXPERIMENTS == tuple(analysis._EXPERIMENTS) == (
+        "lln", "clt", "corollary", "critical", "independence")
+    assert config.BACKENDS == tuple(analysis._BACKENDS) == (
+        "thinning", "time_change")
 
 
 def test_run_experiment_dispatch_matches_direct_call():

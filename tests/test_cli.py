@@ -305,6 +305,22 @@ def test_plot_data_regenerates_verify_output(tmp_path, capsys):
         (tmp_path / "v" / "plotdata.csv").read_bytes()
 
 
+@pytest.mark.parametrize("data", [
+    {"tool": 1},
+    [],
+    {"experiment": "lln", "params": {}, "tolerances": {}, "tables": {},
+     "checks": []},
+], ids=["no-experiment", "not-an-object", "lln-without-tables"])
+def test_plot_data_refuses_a_file_that_is_not_a_report(tmp_path, capsys,
+                                                       data):
+    # exit 1 means a FAIL verdict, so a bad input must not crash into it
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["plot-data", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: report")
+    assert not (tmp_path / "plotdata.csv").exists()
+
+
 def test_usage_and_config_errors_exit_two(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "x")]) == 2

@@ -1,0 +1,66 @@
+"""Every package module uses each name it imports.
+
+No linter ships with the test environment, so this is the unused-import
+rule (pyflakes F401) written with `ast`.  A name counts as used when the
+module reads it or lists it in `__all__`; an import line marked
+`# noqa: F401` is exempt, for a name other code looks up on the module.
+`__init__.py` re-exports by importing, so it is not checked.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hawkes_meanfield"
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def _imported(tree, lines):
+    """{bound name: line} of every import not marked `# noqa: F401`."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases = [(a, a.asname or a.name.split(".")[0])
+                       for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            aliases = [(a, a.asname or a.name) for a in node.names
+                       if a.name != "*"]
+        else:
+            continue
+        for alias, name in aliases:
+            if "# noqa: F401" not in lines[alias.lineno - 1]:
+                names[name] = alias.lineno
+    return names
+
+
+def _used(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def _unused_imports(source):
+    tree = ast.parse(source)
+    used = _used(tree)
+    return sorted((line, name) for name, line
+                  in _imported(tree, source.splitlines()).items()
+                  if name not in used)
+
+
+def test_the_check_sees_unused_and_exempt_imports():
+    source = ("import os\nimport json\nfrom math import pi, tau\n"
+              "from numpy import (\n    sqrt,  # noqa: F401\n    exp,\n)\n"
+              "__all__ = ['tau']\nprint(json.dumps(pi))\n")
+    assert _unused_imports(source) == [(1, "os"), (6, "exp")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_uses_every_import(module):
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    assert _unused_imports(source) == []

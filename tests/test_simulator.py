@@ -203,8 +203,11 @@ def test_compensator_of_constant_rate_is_linear():
     comp = compensators(res)
     np.testing.assert_allclose(comp, np.broadcast_to(1.5 * res.grid,
                                                      comp.shape), atol=1e-12)
+    # the predictable bracket weighs those compensators by (V_j0 - q)^2
     paths = extract_martingale_paths(res, vertices=(0,))
-    np.testing.assert_array_equal(paths.compensators, comp)
+    c00 = np.mean((net.adjacency[:, 0] - net.q) ** 2)
+    np.testing.assert_allclose(paths.predictable[(0, 0)],
+                               c00 * 1.5 * res.grid, atol=1e-12)
 
 
 def test_compensators_need_full_recording():
