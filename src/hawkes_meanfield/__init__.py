@@ -71,6 +71,7 @@ from .fluctuations import (
     FluctuationSample,
     simulate_fluctuations,
     sample_terminal_fluctuations,
+    terminal_covariance,
     covariance_matrix,
     jackknife_covariance,
 )

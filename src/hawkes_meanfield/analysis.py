@@ -25,12 +25,15 @@ from scipy import stats as sps
 from .errors import (
     ConfigError,
     ContractError,
-    DerivativeUnavailableError,
     ParameterError,
     UnsupportedTransferError,
     WrongRegimeError,
 )
-from .fluctuations import jackknife_covariance, sample_terminal_fluctuations
+from .fluctuations import (
+    jackknife_covariance,
+    sample_terminal_fluctuations,  # noqa: F401  (bench/tracer.py spans analysis.sample_terminal_fluctuations)
+    terminal_covariance,
+)
 from .network import build_complementary_network, row_blocks, sample_network
 from .rng import replicate_seed
 from .simulator import (
@@ -321,22 +324,21 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
 
     Finite-network side: replicates of K^{N,k}_T = sqrt(N) (S_k(T) - I(T))
     for the first n_tracked vertices plus the vertex average.  Limit side:
-    limit_samples draws of the Gaussian system.  Matched within pooled
-    standard-error bands; the covariance must also show the exchangeable
-    structure (diagonal strictly above off-diagonal when 0 < q < 1).
+    the exact moments of the Gaussian system (mean 0, terminal_covariance),
+    computed before any replicate runs; clt draws no limit samples, and
+    limit_samples is validated and recorded but has no effect.  Matched
+    within pooled standard-error bands; the covariance must also show the
+    exchangeable structure (diagonal strictly above off-diagonal when
+    0 < q < 1).
     """
     if n_tracked < 2:
         raise ParameterError("n_tracked must be >= 2 (a covariance pair)")
     if replicates < 8 or limit_samples < 8:
         raise ParameterError("need at least 8 replicates and limit samples")
-    if not transfer.has_derivative:
-        raise DerivativeUnavailableError(
-            "clt samples the fluctuation limit, whose drift needs h'; "
-            "supply a transfer with a derivative"
-        )
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
+    cov_l = terminal_covariance(mean_path, kernel, transfer, p, q, n_tracked)
     i_term = mean_path.values[-1]
     root_n = math.sqrt(n)
 
@@ -349,13 +351,10 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
         run, reduce, sizes=[n], replicates=replicates, seed=seed,
         kernel=kernel, transfer=transfer, horizon=horizon, dt=dt, p=p, q=q,
         tracked_vertices=tuple(range(n_tracked)))[0])
-    limit = sample_terminal_fluctuations(mean_path, kernel, transfer, p, q,
-                                         n_tracked, limit_samples, seed)
-    lim_rows = np.column_stack([limit["kbar"], limit["k"]])
 
     cov_f, se_f, loo_f = jackknife_covariance(finite, return_loo=True)
-    cov_l, se_l, _ = jackknife_covariance(lim_rows, return_loo=True)
     gap_se = _jackknife_se(loo_f[:, 1, 1] - loo_f[:, 1, 2])
+    zeros = np.zeros(n_tracked + 1)
     tables = {
         "n": n,
         "finite": {
@@ -365,10 +364,9 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
             "cov": cov_f, "cov_se": se_f,
         },
         "limit": {
-            "samples": limit_samples,
-            "mean": lim_rows.mean(axis=0),
-            "se_mean": [_se(lim_rows[:, j]) for j in range(lim_rows.shape[1])],
-            "cov": cov_l, "cov_se": se_l,
+            "method": "exact",
+            "mean": zeros, "se_mean": zeros,
+            "cov": cov_l, "cov_se": np.zeros_like(cov_l),
         },
         "diag_gap": {"value": float(cov_f[1, 1] - cov_f[1, 2]), "se": gap_se},
         "q": q,

@@ -216,10 +216,9 @@ def _cmd_fluctuations(args):
 
 def _cmd_verify(args):
     cfg = _load_cfg(args, experiment_flag=args.experiment)
-    if cfg.experiment is None:
-        raise ConfigError("experiment: required (config key or --experiment)")
+    kwargs = experiment_kwargs(cfg)
     outdir = _ensure_outdir(cfg)
-    report = run_experiment(cfg.experiment, **experiment_kwargs(cfg))
+    report = run_experiment(cfg.experiment, **kwargs)
     _write_manifest(outdir, "verify", cfg)
     _write_atomic(outdir / "report.json", _json_text(report.to_dict()))
     summary = report.summary_lines()

@@ -400,7 +400,7 @@ def validate_config(raw):
 def experiment_kwargs(cfg):
     """Keyword arguments for run_experiment built from a validated config."""
     if cfg.experiment is None:
-        raise ConfigError("experiment: required for verify runs")
+        raise ConfigError("experiment: required (config key or --experiment)")
     # option keys are the experiments' keyword names
     kwargs = dict(cfg.options, kernel=cfg.build_kernel(),
                   transfer=cfg.build_transfer(), q=cfg.q,

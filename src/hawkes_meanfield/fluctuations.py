@@ -1,4 +1,4 @@
-"""Sampling the Gaussian fluctuation limit around the mean-field path.
+"""The Gaussian fluctuation limit around the mean-field path.
 
 In the large-network limit the rescaled deviation of vertex k solves
 
@@ -15,6 +15,25 @@ so a path costs O(M).  Other kernels fall back to the O(M^2) direct sum.
 Every sample s draws from its own streams (seed, FLUCT, s, component), so a
 single stored path and a large terminal-value batch agree bit for bit on
 common sample indices.
+
+The scheme is linear in its drivers (W, Wtilde^k, B, Btilde^k), so its
+terminal law is Gaussian with mean 0, and `terminal_covariance` gives its
+covariance exactly.  With the left-point values h_r = h(I(t_r)), h'_r,
+phi_k = phi(k dt) and g_s = q (2p - 1) h'_s dt, the sensitivity of Kbar_T
+to the driver increment of step r solves the backward pass (r = M-1..0)
+
+    mu_r = phi_{M-r} + sum_{s>r} mu_s g_s phi_{s-r},
+
+so Kbar_T = q sum_r mu_r (W h_r dt + sqrt(h_r dt) xi_r) with standard
+normal xi_r.  The vertex part E^k = K^k_T - Kbar_T feeds no drift; it is
+independent of Kbar_T and of E^j for j != k.  Hence
+
+    Var Kbar_T = (q dt sum_r mu_r h_r)^2 4p(1-p) + q^2 dt sum_r mu_r^2 h_r,
+    Var E^k    = q(1-q) [ (dt sum_r phi_{M-r} h_r)^2
+                          + dt sum_r phi_{M-r}^2 h_r ],
+
+every covariance entry equals Var Kbar_T, and the vertex variances add
+Var E^k.  The pass costs O(M^2) for any kernel.
 """
 
 import math
@@ -31,6 +50,7 @@ __all__ = [
     "FluctuationSample",
     "simulate_fluctuations",
     "sample_terminal_fluctuations",
+    "terminal_covariance",
     "covariance_matrix",
     "jackknife_covariance",
 ]
@@ -226,6 +246,44 @@ def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
         w_all[idx] = w
         wt_all[idx] = w_tilde
     return {"kbar": kbar, "k": k, "w": w_all, "w_tilde": wt_all}
+
+
+def _left_point_terms(mean_path, kernel, transfer, p, q):
+    """(dt, h_r, phi_{M-r}, mu_r) of the scheme; see the module docstring."""
+    grid = mean_path.grid
+    m = len(grid) - 1
+    dt = grid[1] - grid[0]
+    left = mean_path.values[:-1]
+    h = transfer(left)
+    gain = q * (2.0 * p - 1.0) * transfer.derivative(left) * dt
+    phi = kernel.grid_values(dt, m)
+    to_end = phi[m:0:-1]
+    mu = np.empty(m)
+    fed = np.empty(m)          # mu_s g_s, filled from the end
+    for r in range(m - 1, -1, -1):
+        mu[r] = to_end[r] + fed[r + 1:] @ phi[1:m - r]
+        fed[r] = mu[r] * gain[r]
+    return dt, h, to_end, mu
+
+
+def terminal_covariance(mean_path: IntensityPath, kernel: Kernel,
+                        transfer: TransferFunction, p: float, q: float,
+                        n_vertices: int) -> np.ndarray:
+    """Exact covariance of (Kbar_T, K^1_T..K^n_T) under the scheme.
+
+    The terminal law of simulate_fluctuations is Gaussian with mean 0;
+    this returns its (n+1, n+1) covariance, index 0 for Kbar as in
+    covariance_matrix, from the formulas in the module docstring.
+    """
+    _check_inputs(mean_path, transfer, p, q, n_vertices)
+    dt, h, to_end, mu = _left_point_terms(mean_path, kernel, transfer, p, q)
+    var_kbar = ((q * dt * (mu @ h)) ** 2 * 4.0 * p * (1.0 - p)
+                + q * q * dt * (mu * mu @ h))
+    var_vertex = q * (1.0 - q) * ((dt * (to_end @ h)) ** 2
+                                  + dt * (to_end * to_end @ h))
+    cov = np.full((n_vertices + 1, n_vertices + 1), var_kbar)
+    cov[1:, 1:] += var_vertex * np.eye(n_vertices)
+    return cov
 
 
 def jackknife_covariance(values: np.ndarray, return_loo: bool = False):

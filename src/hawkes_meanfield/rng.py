@@ -21,7 +21,9 @@ key                   consumed by
                       (uniform, gap) per candidate
 (seed, FLUCT, s, c)   fluctuation sample s, component c (0 = shared part:
                       scalar W then Brownian increments; c = k >= 1: scalar
-                      Wtilde^k then Brownian increments for the k-th vertex)
+                      Wtilde^k then Brownian increments for the k-th vertex);
+                      the limit samplers only, not the clt experiment,
+                      which uses the exact limit moments
 (seed, REPLICATE, r)  replicate seed derivation (two uint32 words)
 ====================  =======================================================
 """

@@ -3,7 +3,7 @@
 Ten criteria, one printed pass/fail line each, all under master seed
 20240823.  Scales: solver exactness at T=10; backend agreement at N=50 over
 100 seeds; uniform convergence over N in {100, 400, 1600} at T=4; terminal
-fluctuation moments at N=1600 against 10^4 limit samples; complete-graph
+fluctuation moments at N=1600 against exact limit moments; complete-graph
 degeneracies exactly; compensated-average statistics at N in {100, 1600};
 balanced-regime bracket structure at N=500, T=10 (200 replicates on the
 fixed complementary network); weight moments over 10^3 graphs at N=1600;
@@ -122,7 +122,7 @@ def test_04_fluctuation_moments(capsys):
         and elapsed < 1800.0
     fin = rep.tables["finite"]
     _verdict(capsys, 4, "fluctuation-moments", ok,
-             f"N=1600 (400 reps) vs 1e4 limit samples: var "
+             f"N=1600 (400 reps) vs exact limit moments: var "
              f"{fin['cov'][1][1]:.3f}, cov {fin['cov'][1][2]:.3f}, all "
              f"within 4 pooled SE, diag gap "
              f"{rep.tables['diag_gap']['value']:.3f} > 3 SE, {elapsed:.0f}s")

@@ -342,6 +342,16 @@ def test_usage_and_config_errors_exit_two(tmp_path, capsys):
         main(["frobnicate"])
 
 
+def test_verify_without_experiment_exits_two_before_any_output(tmp_path,
+                                                                capsys):
+    cfg = _write(tmp_path, _doc())
+    assert main(["verify", "--config", cfg,
+                 "--out", str(tmp_path / "v")]) == 2
+    assert "experiment: required (config key or --experiment)" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "v").exists()
+
+
 def test_console_script_reports_version():
     proc = subprocess.run(["hawkes-mf", "--version"], capture_output=True,
                           text=True)

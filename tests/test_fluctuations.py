@@ -1,4 +1,5 @@
-"""Limit-system sampling: stream layout, degeneracies, linearity, jackknife."""
+"""Limit-system sampling: stream layout, degeneracies, linearity, jackknife,
+and the exact terminal covariance against its Monte Carlo oracle."""
 
 import math
 
@@ -8,10 +9,12 @@ import pytest
 from hawkes_meanfield.errors import (ContractError,
                                      DerivativeUnavailableError,
                                      ParameterError)
-from hawkes_meanfield.fluctuations import (covariance_matrix,
+from hawkes_meanfield.fluctuations import (_left_point_terms,
+                                           covariance_matrix,
                                            jackknife_covariance,
                                            sample_terminal_fluctuations,
-                                           simulate_fluctuations)
+                                           simulate_fluctuations,
+                                           terminal_covariance)
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                       tabulated_kernel, tabulated_transfer)
 from hawkes_meanfield.volterra import IntensityPath, solve_mean_field
@@ -258,3 +261,94 @@ def test_covariance_matrix_over_stored_samples():
         covariance_matrix(mixed, path.horizon)
     with pytest.raises(ContractError):
         covariance_matrix(samples[:2], path.horizon)
+
+
+# ----------------------------------------------------------------------
+# exact terminal covariance
+# ----------------------------------------------------------------------
+
+def _truncated_exponential():
+    # e^{-u} on [0, 1.5]: finite support inside the horizon, history mode
+    nodes = np.linspace(0.0, 1.5, 61)
+    return tabulated_kernel(nodes, np.exp(-nodes))
+
+
+KERNEL_MODES = {"exponential": EXP, "tabulated": _truncated_exponential()}
+
+
+def _mode_path(kernel, p=0.8, q=0.5, horizon=2.0, m=128):
+    return solve_mean_field(kernel, ARCTAN, p, q, horizon, dt=horizon / m)
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+def test_sensitivities_are_the_scheme_responses_to_unit_drivers(mode):
+    # the scheme is linear in its drivers, so a unit driver reads off its
+    # coefficient in the terminal value exactly (up to rounding)
+    kernel = KERNEL_MODES[mode]
+    p, q = 0.8, 0.5
+    path = _mode_path(kernel)
+    dt, h, to_end, mu = _left_point_terms(path, kernel, ARCTAN, p, q)
+    m = len(path.grid) - 1
+    unit_w = simulate_fluctuations(path, kernel, ARCTAN, p, q, 0, seed=1,
+                                   drivers={"w": 1.0})
+    np.testing.assert_allclose(unit_w.kbar[-1], q * dt * (mu @ h),
+                               rtol=1e-12, atol=0.0)
+    for r in (0, 1, m // 2, m - 2, m - 1):
+        db = np.zeros(m)
+        db[r] = 1.0
+        unit_db = simulate_fluctuations(path, kernel, ARCTAN, p, q, 0,
+                                        seed=1, drivers={"db": db})
+        np.testing.assert_allclose(unit_db.kbar[-1],
+                                   q * math.sqrt(h[r] * dt) * mu[r],
+                                   rtol=1e-12, atol=0.0)
+    # the vertex part feeds no drift: it weighs the drivers with phi_{M-r}
+    unit_wt = simulate_fluctuations(path, kernel, ARCTAN, p, q, 1, seed=1,
+                                    drivers={"w_tilde": np.ones(1)})
+    assert unit_wt.kbar[-1] == 0.0
+    np.testing.assert_allclose(unit_wt.k[0, -1],
+                               math.sqrt(q * (1.0 - q)) * dt * (to_end @ h),
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("mode", sorted(KERNEL_MODES))
+def test_terminal_covariance_agrees_with_monte_carlo(mode):
+    kernel = KERNEL_MODES[mode]
+    p, q = 0.8, 0.5
+    path = _mode_path(kernel)
+    exact = terminal_covariance(path, kernel, ARCTAN, p, q, 2)
+    batch = sample_terminal_fluctuations(path, kernel, ARCTAN, p, q, 2,
+                                         n_samples=10000, seed=2024)
+    cov, se = jackknife_covariance(np.column_stack([batch["kbar"],
+                                                    batch["k"]]))
+    assert exact.shape == (3, 3)
+    assert np.all(np.abs(cov - exact) <= 4.0 * se), (cov - exact) / se
+    # exchangeable structure: one shared variance, vertex variances above it
+    assert np.all(exact[0] == exact[0, 0])
+    assert exact[1, 2] == exact[0, 0]
+    assert exact[1, 1] == exact[2, 2] > exact[0, 0] > 0.0
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_terminal_covariance_degenerate_connectivity(q):
+    path = _coarse_path(q=q)
+    cov = terminal_covariance(path, EXP, ARCTAN, 0.8, q, 3)
+    assert cov.shape == (4, 4)
+    assert np.all(cov == cov[0, 0])
+    assert (cov[0, 0] == 0.0) == (q == 0.0)
+
+
+def test_terminal_covariance_edge_cases():
+    path = _coarse_path()
+    alone = terminal_covariance(path, EXP, ARCTAN, 0.8, 0.5, 0)
+    assert alone.shape == (1, 1)
+    assert alone[0, 0] == terminal_covariance(path, EXP, ARCTAN, 0.8, 0.5,
+                                              2)[0, 0]
+    nodes = np.linspace(-5.0, 5.0, 51)
+    flat = tabulated_transfer(nodes, np.full(51, 1.5))
+    with pytest.raises(DerivativeUnavailableError):
+        terminal_covariance(path, EXP, flat, 0.8, 0.5, 1)
+    with pytest.raises(ParameterError):
+        terminal_covariance(path, EXP, ARCTAN, 0.8, 1.5, 1)
+    bad = IntensityPath(grid=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
+    with pytest.raises(ContractError):
+        terminal_covariance(bad, EXP, ARCTAN, 0.8, 0.5, 1)
