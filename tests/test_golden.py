@@ -4,15 +4,17 @@ SHA-256 digests of the spike trains, the recorded input paths and the
 diagnostics at fixed seeds, for both backends under the exponential kernel
 (lazy decay) and under a tabulated kernel (windowed history); and of the
 report.json text of every experiment (both critical modes) at toy scale on
-both backends.  A refactor of the event loops, the grid recorder or the
-experiment drivers must reproduce every digest; a change that alters the RNG
+both backends; and of the fluctuation-limit sampler's paths, terminal
+batches and exact terminal covariance in both kernel modes.  A refactor of
+the event loops, the grid recorder, the experiment drivers or the
+fluctuation integrator must reproduce every digest; a change that alters the RNG
 stream layout or float rounding of these outputs must say so in CHANGES.md
 and regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
 
-The recorded paths, and every report built from them, pass through numpy's
-vectorised exp, whose last bit depends on the SIMD path numpy dispatches to.
+The recorded paths, every report built from them, and the fluctuation
+values pass through numpy's vectorised exp (and arctan), whose last bit depends on the SIMD path numpy dispatches to.
 Their digests are therefore compared only on a machine with the numpy version and dispatch targets stored
 under "machine" in the table; everywhere the paths are also checked against a
 brute-force reconvolution of the spike trains at a tight tolerance.
@@ -28,6 +30,9 @@ import pytest
 
 from hawkes_meanfield.analysis import run_experiment
 from hawkes_meanfield.cli import _json_text
+from hawkes_meanfield.fluctuations import (sample_terminal_fluctuations,
+                                           simulate_fluctuations,
+                                           terminal_covariance)
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                      tabulated_kernel)
 from hawkes_meanfield.network import sample_network
@@ -35,6 +40,7 @@ from hawkes_meanfield.simulator import (SimulationConfig,
                                         recompute_input_from_trains,
                                         simulate_thinning,
                                         simulate_time_change)
+from hawkes_meanfield.volterra import solve_mean_field
 
 HASHES = Path(__file__).with_name("golden_hashes.json")
 BACKENDS = {"thinning": simulate_thinning, "time_change": simulate_time_change}
@@ -160,6 +166,47 @@ def _report_digest(case):
     return hashlib.sha256(_json_text(report.to_dict()).encode()).hexdigest()
 
 
+# fluctuation setting -> (p, q, n_vertices); q in {0, 1} and n_vertices = 0
+# are the degenerate corners, p = 0.5 switches the drift feedback off
+_FLUCT_SETTINGS = {
+    "p0.8-q0.5-n3": (0.8, 0.5, 3),
+    "p0.5-q0.5-n2": (0.5, 0.5, 2),
+    "p0.3-q0-n2": (0.3, 0.0, 2),
+    "p0.8-q1-n3": (0.8, 1.0, 3),
+    "p0.6-q0.7-n0": (0.6, 0.7, 0),
+}
+# 11 samples split 4+4+3 and 7+4: both chunkings end on a partial chunk
+_FLUCT_SAMPLES, _FLUCT_CHUNKS = 11, (4, 7)
+
+
+def _fluct_cases():
+    return sorted(f"{kernel}-{name}" for kernel in KERNELS
+                  for name in _FLUCT_SETTINGS)
+
+
+def _fluct_hashes(case):
+    """Digests of two sampled paths, chunked terminal batches and the exact
+    terminal covariance on a 40-step grid over [0, 3].
+
+    dt = 0.075 is not a power of two, so a reordered product changes bits.
+    """
+    kernel_name, name = case.split("-", 1)
+    kernel, transfer = KERNELS[kernel_name], arctan_transfer()
+    p, q, n_vertices = _FLUCT_SETTINGS[name]
+    path = solve_mean_field(kernel, transfer, p, q, 3.0, dt=3.0 / 40)
+    args = (path, kernel, transfer, p, q, n_vertices)
+    out = {}
+    for index in (0, 5):
+        s = simulate_fluctuations(*args, seed=13, sample_index=index)
+        out[f"path{index}"] = _digest(s.kbar, s.k, s.w_tilde, s.db, s.db_tilde)
+    for chunk in _FLUCT_CHUNKS:
+        b = sample_terminal_fluctuations(*args, n_samples=_FLUCT_SAMPLES,
+                                         seed=13, chunk=chunk)
+        out[f"batch{chunk}"] = _digest(b["kbar"], b["k"], b["w"], b["w_tilde"])
+    out["covariance"] = _digest(terminal_covariance(*args))
+    return out
+
+
 def _check_trains_and_diagnostics(case):
     expected = _table()["cases"][case]
     got = _hashes(_run(*_cases()[case])[2])
@@ -209,10 +256,20 @@ def test_report_digests(case):
     assert _report_digest(case) == table["reports"][case]
 
 
+@pytest.mark.parametrize("case", _fluct_cases())
+def test_fluctuation_digests(case):
+    table = _table()
+    if _machine() != table["machine"]:
+        pytest.skip(f"fluctuation digests were taken on {table['machine']}")
+    assert _fluct_hashes(case) == table["fluctuations"][case]
+
+
 if __name__ == "__main__":
     table = {"machine": _machine(),
              "cases": {case: _hashes(_run(*args)[2])
                        for case, args in sorted(_cases().items())},
              "reports": {case: _report_digest(case)
-                         for case in _report_cases()}}
+                         for case in _report_cases()},
+             "fluctuations": {case: _fluct_hashes(case)
+                              for case in _fluct_cases()}}
     print(json.dumps(table, indent=1, sort_keys=True))
