@@ -110,74 +110,57 @@ def _draw_chunk(seed, indices, n_vertices, m, p):
     return w, w_tilde, db, db_tilde
 
 
-def _integrate_chunk(kernel, transfer, mean_path, p, q, w, w_tilde, db,
-                     db_tilde, keep_paths):
-    """Euler-Maruyama over one chunk of samples (first axis = sample).
-
-    db / db_tilde are standard-normal draws; the sqrt(dt) scaling happens
-    here so driver overrides can be stated in normalized units.
-    """
+def _left_point_table(mean_path, kernel, transfer):
+    """(dt, h_r, h'_r, phi_k) of the scheme, for the sampler and the moments."""
     grid = mean_path.grid
-    m = len(grid) - 1
     dt = grid[1] - grid[0]
-    size, n_vertices = w_tilde.shape
+    left = mean_path.values[:-1]
+    return (dt, transfer(left), transfer.derivative(left),
+            kernel.grid_values(dt, len(left)))
 
-    h_left = transfer(mean_path.values[:-1])
-    hp_left = transfer.derivative(mean_path.values[:-1])
+
+def _integrate_chunk(kernel, transfer, mean_path, p, q, w, w_tilde, db,
+                     db_tilde):
+    """Euler-Maruyama paths (S, M+1) and (S, n, M+1) over one chunk.
+
+    db / db_tilde are standard-normal draws (first axis = sample); the
+    sqrt(dt) scaling happens here so driver overrides can be stated in
+    normalized units.
+    """
+    dt, h_left, hp_left, phi = _left_point_table(mean_path, kernel, transfer)
+    m = len(h_left)
+    size, n_vertices = w_tilde.shape
     root_h = np.sqrt(h_left)
     drift_gain = (2.0 * p - 1.0)
     spread = math.sqrt(q * (1.0 - q))
     sqdt = math.sqrt(dt)
-
-    # running state at the current grid time; the (S, M+1) and (S, n, M+1)
-    # path arrays exist only when the caller keeps the paths
-    kbar_now = np.zeros(size)
-    k_now = np.zeros((size, n_vertices))
-    if keep_paths:
-        kbar = np.zeros((size, m + 1))
-        k = np.zeros((size, n_vertices, m + 1))
     if kernel.is_exponential:
         decay = math.exp(-kernel.rate * dt)
-        for j in range(m):
-            dgbar = q * (w * h_left[j] * dt
-                         + drift_gain * hp_left[j] * kbar_now * dt
-                         + root_h[j] * sqdt * db[:, j])
-            kbar_now = decay * (kbar_now + dgbar)
-            if n_vertices:
-                dg = dgbar[:, None] + spread * (
-                    w_tilde * h_left[j] * dt
-                    + root_h[j] * sqdt * db_tilde[:, :, j])
-                k_now = decay * (k_now + dg)
-            if keep_paths:
-                kbar[:, j + 1] = kbar_now
-                k[:, :, j + 1] = k_now
     else:
         dgbar_all = np.empty((size, m))
         dg_all = np.empty((size, n_vertices, m))
-        phi = kernel.grid_values(dt, m)
-        for j in range(m):
-            dgbar = q * (w * h_left[j] * dt
-                         + drift_gain * hp_left[j] * kbar_now * dt
-                         + root_h[j] * sqdt * db[:, j])
+
+    # time-major, so each step reads and writes one contiguous row
+    kbar = np.zeros((m + 1, size))
+    k = np.zeros((m + 1, size, n_vertices))
+    for j in range(m):
+        dgbar = q * (w * h_left[j] * dt
+                     + drift_gain * hp_left[j] * kbar[j] * dt
+                     + root_h[j] * sqdt * db[:, j])
+        dg = dgbar[:, None] + spread * (
+            w_tilde * h_left[j] * dt
+            + root_h[j] * sqdt * db_tilde[:, :, j])
+        if kernel.is_exponential:
+            kbar[j + 1] = decay * (kbar[j] + dgbar)
+            k[j + 1] = decay * (k[j] + dg)
+        else:
+            # K at t_{j+1} sums phi(t_{j+1} - t_r) dG_r over r <= j
             dgbar_all[:, j] = dgbar
-            if n_vertices:
-                dg_all[:, :, j] = dgbar[:, None] + spread * (
-                    w_tilde * h_left[j] * dt
-                    + root_h[j] * sqdt * db_tilde[:, :, j])
-            # K at t_{j+1} sums phi(t_{j+1} - t_r) dG_r over r <= j; the
-            # vertex components feed no drift, so without stored paths only
-            # their terminal sum is formed
+            dg_all[:, :, j] = dg
             weights = phi[j + 1:0:-1]
-            kbar_now = dgbar_all[:, :j + 1] @ weights
-            if keep_paths:
-                kbar[:, j + 1] = kbar_now
-                if n_vertices:
-                    k[:, :, j + 1] = dg_all[:, :, :j + 1] @ weights
-        if n_vertices and not keep_paths:
-            k_now = dg_all @ phi[m:0:-1]
-    if keep_paths:
-        return kbar, k
-    return kbar_now, k_now
+            kbar[j + 1] = dgbar_all[:, :j + 1] @ weights
+            k[j + 1] = dg_all[:, :, :j + 1] @ weights
+    return kbar.T, k.transpose(1, 2, 0)
 
 
 def simulate_fluctuations(mean_path: IntensityPath, kernel: Kernel,
@@ -209,7 +192,7 @@ def simulate_fluctuations(mean_path: IntensityPath, kernel: Kernel,
         db_tilde = np.asarray(drivers.get("db_tilde", np.zeros((n_vertices, m))),
                               dtype=np.float64).reshape(1, n_vertices, m)
     kbar, k = _integrate_chunk(kernel, transfer, mean_path, p, q, w, w_tilde,
-                               db, db_tilde, keep_paths=True)
+                               db, db_tilde)
     return FluctuationSample(
         grid=mean_path.grid, kbar=kbar[0], k=k[0], w=float(w[0]),
         w_tilde=w_tilde[0], db=db[0], db_tilde=db_tilde[0], p=float(p),
@@ -224,9 +207,9 @@ def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
     """Monte Carlo batch of terminal values (Kbar_T, K^1_T..K^n_T).
 
     Streams match simulate_fluctuations sample for sample, so spot checks
-    against stored paths are exact; paths themselves are never retained,
-    which keeps 1e4+ samples cheap.  Returns arrays kbar (S,), k (S, n),
-    w (S,), w_tilde (S, n).
+    against stored paths are exact.  Paths are held for one chunk of
+    samples at a time and only their last column is kept.  Returns arrays
+    kbar (S,), k (S, n), w (S,), w_tilde (S, n).
     """
     _check_inputs(mean_path, transfer, p, q, n_vertices)
     if n_samples < 1:
@@ -240,9 +223,9 @@ def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
         idx = list(range(start, min(start + chunk, n_samples)))
         w, w_tilde, db, db_tilde = _draw_chunk(seed, idx, n_vertices, m, p)
         kb, kk = _integrate_chunk(kernel, transfer, mean_path, p, q, w,
-                                  w_tilde, db, db_tilde, keep_paths=False)
-        kbar[idx] = kb
-        k[idx] = kk
+                                  w_tilde, db, db_tilde)
+        kbar[idx] = kb[:, -1]
+        k[idx] = kk[:, :, -1]
         w_all[idx] = w
         wt_all[idx] = w_tilde
     return {"kbar": kbar, "k": k, "w": w_all, "w_tilde": wt_all}
@@ -250,13 +233,9 @@ def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
 
 def _left_point_terms(mean_path, kernel, transfer, p, q):
     """(dt, h_r, phi_{M-r}, mu_r) of the scheme; see the module docstring."""
-    grid = mean_path.grid
-    m = len(grid) - 1
-    dt = grid[1] - grid[0]
-    left = mean_path.values[:-1]
-    h = transfer(left)
-    gain = q * (2.0 * p - 1.0) * transfer.derivative(left) * dt
-    phi = kernel.grid_values(dt, m)
+    dt, h, hp, phi = _left_point_table(mean_path, kernel, transfer)
+    m = len(h)
+    gain = q * (2.0 * p - 1.0) * hp * dt
     to_end = phi[m:0:-1]
     mu = np.empty(m)
     fed = np.empty(m)          # mu_s g_s, filled from the end
