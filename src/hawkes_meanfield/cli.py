@@ -28,7 +28,7 @@ from . import __version__
 from .analysis import (_BACKENDS, _downsample_stride, report_from_dict,
                        run_experiment)
 from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, load_config,
-                     validate_config)
+                     read_json, validate_config)
 from .errors import ConfigError, ToolkitError
 from .fluctuations import simulate_fluctuations
 from .network import sample_network
@@ -304,13 +304,7 @@ def _cmd_plot_data(args):
     path = Path(args.report)
     if path.is_dir():
         path = path / "report.json"
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"report {path} is not valid JSON: {exc}") from exc
-    report = report_from_dict(data)
+    report = report_from_dict(read_json(path, "report"))
     try:
         text = _plot_csv(report)
     except (AttributeError, LookupError, TypeError, ValueError) as exc:
@@ -394,6 +388,10 @@ def main(argv=None):
         return 2
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return 2
 
 

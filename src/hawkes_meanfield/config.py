@@ -231,15 +231,21 @@ class ExperimentConfig:
         return doc
 
 
-def load_config(path):
-    """Read a config file; a manifest.json is accepted and unwrapped."""
+def read_json(path, what):
+    """Parse the JSON file at path; a file that cannot be read or decoded
+    raises ConfigError naming it as `what`."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
+def load_config(path):
+    """Read a config file; a manifest.json is accepted and unwrapped."""
+    raw = read_json(path, "config")
     if isinstance(raw, dict) and "resolved_config" in raw:
         raw = raw["resolved_config"]
     return raw

@@ -148,6 +148,15 @@ class WeightStatistics:
     sign_mean: float
 
 
+def _empty_adjacency(n):
+    """Uninitialised (n, n) uint8 matrix; ParameterError if numpy refuses."""
+    try:
+        return np.empty((n, n), dtype=np.uint8)
+    except (ValueError, MemoryError) as exc:
+        raise ParameterError(f"cannot allocate the {n} x {n} adjacency "
+                             f"({n * n / 2**30:.3g} GiB): {exc}") from exc
+
+
 def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguration:
     """Draw a signed Erdos-Renyi network.
 
@@ -160,7 +169,7 @@ def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguratio
     _check_probability("p", p)
     _check_probability("q", q)
     g = stream(seed, NETWORK)
-    adjacency = np.empty((n, n), dtype=np.uint8)
+    adjacency = _empty_adjacency(n)
     _draw_bernoulli(g, adjacency, q)
     signs = np.where(g.random(n) < p, 1, -1).astype(np.int8)
     return NetworkConfiguration(
@@ -184,6 +193,7 @@ def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
     """
     if n < 2 or n % 2 != 0:
         raise ParameterError(f"complementary construction needs even n >= 2, got {n}")
+    adjacency = _empty_adjacency(n)
     m = n // 2
     g = stream(seed, NETWORK)
     perm = g.permutation(n)
@@ -196,7 +206,6 @@ def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
     signs[half0] = g.permutation(pattern)
     signs[half1] = g.permutation(pattern)
 
-    adjacency = np.empty((n, n), dtype=np.uint8)
     adjacency[:, 0] = 0
     adjacency[:, 1] = 0
     adjacency[half0, 0] = 1

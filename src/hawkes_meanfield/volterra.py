@@ -85,7 +85,11 @@ def _resolve_grid(horizon, dt):
         if not (0.0 < dt <= horizon):
             raise ParameterError(f"dt must lie in (0, horizon], got {dt!r}")
         m = max(1, int(round(horizon / dt)))
-    return np.linspace(0.0, horizon, m + 1), m
+    try:
+        return np.linspace(0.0, horizon, m + 1), m
+    except (ValueError, MemoryError) as exc:
+        raise ParameterError(f"cannot allocate a grid of {m + 1} points "
+                             f"({8 * (m + 1) / 2**30:.3g} GiB): {exc}") from exc
 
 
 def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,

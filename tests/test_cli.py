@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from hawkes_meanfield import analysis
 from hawkes_meanfield.cli import main
 from hawkes_meanfield.config import (experiment_kwargs, load_config,
                                      validate_config)
@@ -350,6 +351,49 @@ def test_verify_without_experiment_exits_two_before_any_output(tmp_path,
     assert "experiment: required (config key or --experiment)" in \
         capsys.readouterr().err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("command", ["meanfield", "plot-data"])
+def test_undecodable_json_is_a_config_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"model": "\xff\xfe"}')
+    argv = {"meanfield": ["meanfield", "--config", str(bad),
+                          "--out", str(tmp_path / "mf")],
+            "plot-data": ["plot-data", str(bad)]}[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read")
+    assert len(err.splitlines()) == 1
+
+
+# each shape is refused by numpy before anything is allocated
+@pytest.mark.parametrize("command, section, key, value", [
+    ("simulate", "model", "n", 10 ** 10),
+    ("meanfield", "run", "dt", 1e-20),
+])
+def test_unallocatable_runs_exit_two(tmp_path, capsys, command, section, key,
+                                     value):
+    doc = _doc()
+    doc[section][key] = value
+    assert main([command, "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate")
+    assert len(err.splitlines()) == 1
+
+
+def test_verify_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):
+    # exit 1 is a FAIL verdict, so an allocation failure must not end there
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.31 GiB")
+
+    monkeypatch.setattr(analysis, "sample_network", refuse)
+    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+    doc["run"]["replicates"] = 3
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "v")]) == 2
+    assert capsys.readouterr().err == \
+        "error: out of memory: Unable to allocate 9.31 GiB\n"
 
 
 def test_console_script_reports_version():

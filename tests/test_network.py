@@ -223,3 +223,13 @@ def test_serialized_network_needs_seed_or_matrices():
     with pytest.raises(ContractError):
         network_from_dict({"kind": "erdos_renyi", "n": 5, "p": 0.5, "q": 0.5,
                            "seed": None})
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: sample_network(n, 0.8, 0.5, seed=1),
+    lambda n: build_complementary_network(n, seed=1),
+], ids=["erdos_renyi", "complementary"])
+def test_unallocatable_adjacency_is_a_parameter_error(build):
+    # n^2 bytes overflow numpy's size limit, so nothing is allocated
+    with pytest.raises(ParameterError, match="10000000000 x 10000000000"):
+        build(10 ** 10)

@@ -130,6 +130,12 @@ def test_grid_rounds_dt_to_land_on_horizon():
     assert len(path.grid) == 4  # round(1 / 0.3) = 3 steps
 
 
+def test_unallocatable_grid_is_a_parameter_error():
+    # 10^20 + 1 points overflow numpy's size limit before any allocation
+    with pytest.raises(ParameterError, match="grid of 100000000000000000001"):
+        solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 1.0, dt=1e-20)
+
+
 def test_zero_horizon():
     path = solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 0.0)
     assert len(path) == 1 and path.values[0] == 0.0
