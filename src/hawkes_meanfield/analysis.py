@@ -749,7 +749,7 @@ def critical_verdicts(tables, tolerances):
 # ----------------------------------------------------------------------
 
 def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
-                            replicates, seed, m_vertices=5,
+                            replicates, seed, m_vertices=2,
                             backend="thinning", dt=None, tolerances=None
                             ) -> ExperimentReport:
     """Terminal counts of a fixed vertex set: decorrelation and Poisson law.

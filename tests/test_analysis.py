@@ -1,5 +1,6 @@
 """Experiment drivers: guards, report round trips, verdict reproducibility."""
 
+import inspect
 import json
 import math
 
@@ -171,6 +172,18 @@ def test_config_names_come_from_the_analysis_tables():
         "lln", "clt", "corollary", "critical", "independence")
     assert config.BACKENDS == tuple(analysis._BACKENDS) == (
         "thinning", "time_change")
+
+
+def test_option_defaults_are_the_experiment_defaults():
+    # a config and a library call that both omit an option must run alike
+    compared = []
+    for name, options in config._OPTION_KEYS.items():
+        params = inspect.signature(analysis._EXPERIMENTS[name][0]).parameters
+        for key, default in options.items():
+            if params[key].default is not inspect.Parameter.empty:
+                assert params[key].default == default, f"{name}.{key}"
+                compared.append(key)
+    assert "m_vertices" in compared
 
 
 def test_run_experiment_dispatch_matches_direct_call():
