@@ -32,8 +32,6 @@ from .network import (
     sample_network,
     build_complementary_network,
     compute_weight_statistics,
-    network_to_dict,
-    network_from_dict,
 )
 from .kernels import (
     Kernel,
@@ -44,7 +42,6 @@ from .kernels import (
     constant_transfer,
     tabulated_transfer,
     convolve_with_path,
-    convolve_density,
     convolution_bound_constant,
 )
 from .volterra import (
@@ -64,7 +61,6 @@ from .simulator import (
     compensators,
     extract_martingale_paths,
     format_spike_trains,
-    write_spike_trains,
     read_spike_trains,
 )
 from .fluctuations import (
@@ -72,7 +68,6 @@ from .fluctuations import (
     simulate_fluctuations,
     sample_terminal_fluctuations,
     terminal_covariance,
-    covariance_matrix,
     jackknife_covariance,
 )
 from .analysis import (

@@ -98,12 +98,20 @@ def _load_cfg(args, experiment_flag=None):
     return validate_config(doc)
 
 
+def _make_dir(path):
+    """mkdir -p; a path that cannot be created raises ConfigError naming it."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror or exc}") from exc
+    return path
+
+
 def _ensure_outdir(cfg):
     if cfg.out_dir is None:
         raise ConfigError("output.directory: required (or pass --out)")
-    outdir = Path(cfg.out_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return outdir
+    return _make_dir(Path(cfg.out_dir))
 
 
 def _write_manifest(outdir, command, cfg, jobs=1):
@@ -311,7 +319,7 @@ def _cmd_plot_data(args):
         raise ConfigError(f"report {path}: tables do not hold the "
                           f"{report.experiment} data ({exc!r})") from exc
     out = Path(args.out) if args.out else path.with_name("plotdata.csv")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _make_dir(out.parent)
     _write_atomic(out, text)
     print(f"wrote {out}")
     return 0

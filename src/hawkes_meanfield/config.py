@@ -34,7 +34,7 @@ import json
 import math
 
 from .analysis import _BACKENDS, _EXPERIMENTS, DEFAULT_TOLERANCES
-from .errors import ConfigError
+from .errors import ConfigError, ToolkitError
 from .kernels import (arctan_transfer, constant_transfer, exponential_kernel,
                       tabulated_kernel, tabulated_transfer)
 
@@ -109,8 +109,12 @@ def _float_list(obj, path):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
-def _tabulated_spec(params, path):
-    """Equal-length `nodes` and `values` arrays of one tabulated function."""
+def _tabulated_spec(params, path, build):
+    """Equal-length `nodes` and `values` arrays of one tabulated function.
+
+    `build` is the constructor the table will be built with; whatever it
+    refuses is refused here, at `path`, before any run starts.
+    """
     params = _mapping(params, path)
     _only_keys(params, path, {"nodes", "values"})
     for key in ("nodes", "values"):
@@ -120,6 +124,10 @@ def _tabulated_spec(params, path):
     values = _float_list(params["values"], f"{path}.values")
     if len(nodes) != len(values):
         _fail(path, "nodes and values must have equal length")
+    try:
+        build(nodes, values)
+    except ToolkitError as exc:
+        _fail(path, str(exc))
     return {"tabulated": {"nodes": nodes, "values": values}}
 
 
@@ -138,7 +146,7 @@ def _kernel_spec(obj, path):
             _fail(f"{path}.exponential.rate", "must be > 0")
         return {"exponential": {"rate": rate}}
     if kind == "tabulated":
-        return _tabulated_spec(params, f"{path}.tabulated")
+        return _tabulated_spec(params, f"{path}.tabulated", tabulated_kernel)
     _fail(f"{path}.{kind}", "unknown kernel kind "
           "(allowed: exponential, tabulated)")
 
@@ -160,7 +168,8 @@ def _transfer_spec(obj, path):
         value = _number(params["value"], f"{path}.constant.value", lo=0.0)
         return {"constant": {"value": value}}
     if kind == "tabulated":
-        return _tabulated_spec(params, f"{path}.tabulated")
+        return _tabulated_spec(params, f"{path}.tabulated",
+                               tabulated_transfer)
     _fail(f"{path}.{kind}", "unknown transfer kind "
           "(allowed: arctan, constant, tabulated)")
 

@@ -51,7 +51,6 @@ __all__ = [
     "simulate_fluctuations",
     "sample_terminal_fluctuations",
     "terminal_covariance",
-    "covariance_matrix",
     "jackknife_covariance",
 ]
 
@@ -67,10 +66,6 @@ class FluctuationSample:
     w_tilde: np.ndarray       # (n,)
     db: np.ndarray            # (M,) Brownian increments of B
     db_tilde: np.ndarray      # (n, M)
-    p: float
-    q: float
-    seed: int
-    sample_index: int
 
 
 def _check_inputs(mean_path, transfer, p, q, n_vertices):
@@ -195,9 +190,7 @@ def simulate_fluctuations(mean_path: IntensityPath, kernel: Kernel,
                                db, db_tilde)
     return FluctuationSample(
         grid=mean_path.grid, kbar=kbar[0], k=k[0], w=float(w[0]),
-        w_tilde=w_tilde[0], db=db[0], db_tilde=db_tilde[0], p=float(p),
-        q=float(q), seed=int(seed), sample_index=int(sample_index),
-    )
+        w_tilde=w_tilde[0], db=db[0], db_tilde=db_tilde[0])
 
 
 def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
@@ -251,8 +244,8 @@ def terminal_covariance(mean_path: IntensityPath, kernel: Kernel,
     """Exact covariance of (Kbar_T, K^1_T..K^n_T) under the scheme.
 
     The terminal law of simulate_fluctuations is Gaussian with mean 0;
-    this returns its (n+1, n+1) covariance, index 0 for Kbar as in
-    covariance_matrix, from the formulas in the module docstring.
+    this returns its (n+1, n+1) covariance, index 0 for Kbar, from the
+    formulas in the module docstring.
     """
     _check_inputs(mean_path, transfer, p, q, n_vertices)
     dt, h, to_end, mu = _left_point_terms(mean_path, kernel, transfer, p, q)
@@ -292,24 +285,3 @@ def jackknife_covariance(values: np.ndarray, return_loo: bool = False):
     if return_loo:
         return cov, se, loo_cov
     return cov, se
-
-
-def covariance_matrix(samples, t: float):
-    """Empirical covariance of (Kbar_t, K^1_t, ..., K^n_t) across samples.
-
-    All samples must share one grid and one vertex count.  Returns
-    (cov, se) as in jackknife_covariance, with index 0 for Kbar.
-    """
-    if len(samples) < 3:
-        raise ContractError("need at least 3 samples")
-    grid = samples[0].grid
-    n_vertices = samples[0].k.shape[0]
-    rows = np.empty((len(samples), 1 + n_vertices))
-    for row, s in enumerate(samples):
-        if s.k.shape[0] != n_vertices or len(s.grid) != len(grid) \
-                or s.grid[-1] != grid[-1]:
-            raise ContractError("samples live on different grids")
-        rows[row, 0] = np.interp(t, s.grid, s.kbar)
-        for comp in range(n_vertices):
-            rows[row, 1 + comp] = np.interp(t, s.grid, s.k[comp])
-    return jackknife_covariance(rows)

@@ -32,7 +32,6 @@ __all__ = [
     "constant_transfer",
     "tabulated_transfer",
     "convolve_with_path",
-    "convolve_density",
     "convolution_bound_constant",
 ]
 
@@ -58,12 +57,6 @@ class Kernel:
     def is_exponential(self) -> bool:
         return self.kind == "exponential"
 
-    @property
-    def support(self) -> float:
-        if self.is_exponential:
-            return math.inf
-        return float(self.nodes[-1])
-
     def __call__(self, t):
         """Evaluate phi at t (scalar or array); t must lie in [0, support]."""
         arr = np.asarray(t, dtype=np.float64)
@@ -77,24 +70,6 @@ class Kernel:
                     f"tabulated kernel is defined up to t={self.nodes[-1]!r}"
                 )
             out = np.interp(arr, self.nodes, self.values)
-        return float(out) if np.isscalar(t) else out
-
-    def derivative(self, t):
-        """phi'(t); piecewise-constant slopes for the tabulated kind."""
-        arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < 0.0):
-            raise DomainError("kernel evaluation needs t >= 0")
-        if self.is_exponential:
-            out = -self.rate * np.exp(-self.rate * arr)
-        else:
-            if np.any(arr > self.nodes[-1]):
-                raise DomainError(
-                    f"tabulated kernel is defined up to t={self.nodes[-1]!r}"
-                )
-            slopes = np.diff(self.values) / np.diff(self.nodes)
-            idx = np.clip(np.searchsorted(self.nodes, arr, side="right") - 1,
-                          0, len(slopes) - 1)
-            out = slopes[idx]
         return float(out) if np.isscalar(t) else out
 
     def padded(self, lags: np.ndarray) -> np.ndarray:
@@ -295,22 +270,6 @@ def convolve_with_path(kernel: Kernel, t, events, weights=None):
         vals = kernel.padded(tk - events[:m])
         out[k] = float(np.dot(vals, w[:m]) if w is not None else vals.sum())
     return float(out[0]) if scalar else out
-
-
-def convolve_density(kernel: Kernel, t: float, grid, values):
-    """Trapezoid approximation of int_0^t phi(t-s) v(s) ds on a sample grid."""
-    grid = np.asarray(grid, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if grid.shape != values.shape or grid.ndim != 1:
-        raise ContractError("grid and values must be matching 1-d arrays")
-    if np.any(np.diff(grid) <= 0.0):
-        raise ContractError("grid must increase strictly")
-    if t < grid[0]:
-        raise DomainError(f"t={t!r} precedes the sampled grid")
-    keep = grid < t
-    s = np.append(grid[keep], t)
-    v = np.append(values[keep], np.interp(t, grid, values))
-    return float(np.trapezoid(kernel.padded(t - s) * v, s))
 
 
 def convolution_bound_constant(kernel: Kernel, horizon: float) -> float:

@@ -27,8 +27,6 @@ __all__ = [
     "sample_network",
     "build_complementary_network",
     "compute_weight_statistics",
-    "network_to_dict",
-    "network_from_dict",
 ]
 
 # float64 items per row block when drawing or reducing the adjacency (2 MiB)
@@ -144,7 +142,6 @@ class WeightStatistics:
     w_n_i: np.ndarray
     w_tilde: np.ndarray
     mean_square_w: float
-    in_degree_mean: np.ndarray
     sign_mean: float
 
 
@@ -230,11 +227,8 @@ def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:
     root_n = np.sqrt(n)
     # integer-valued sums, exact in any order: one float row block at a time
     uv_col = np.zeros(n)                  # sum_j U_j V_{ji} per target i
-    in_degree = np.zeros(n)
     for sl in row_blocks(n, n):
-        v = net.adjacency[sl].astype(np.float64)
-        uv_col += u[sl] @ v
-        in_degree += v.sum(axis=0)
+        uv_col += u[sl] @ net.adjacency[sl].astype(np.float64)
     u_sum = u.sum()
     w_n = (u_sum - n * (2 * net.p - 1)) / root_n
     w_n_i = (uv_col - n * (2 * net.p - 1) * net.q) / root_n
@@ -245,38 +239,5 @@ def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:
         w_n_i=w_n_i,
         w_tilde=w_tilde,
         mean_square_w=float(np.mean(w_n_i**2)),
-        in_degree_mean=in_degree / n,
         sign_mean=float(u.mean()),
     )
-
-
-def network_to_dict(net: NetworkConfiguration, include_matrices: bool = False) -> dict:
-    """Serialize a network to a JSON-compatible dict.
-
-    Without matrices the dict carries (kind, n, p, q, seed) and the network is
-    reconstructible by resampling; with matrices it is self-contained.
-    """
-    out = {"kind": net.kind, "n": net.n, "p": net.p, "q": net.q, "seed": net.seed}
-    if include_matrices or net.seed is None:
-        out["adjacency"] = net.adjacency.tolist()
-        out["signs"] = net.signs.tolist()
-    return out
-
-
-def network_from_dict(data: dict) -> NetworkConfiguration:
-    """Rebuild a network from its serialized form (inverse of network_to_dict)."""
-    kind = data.get("kind", "erdos_renyi")
-    if "adjacency" in data:
-        return NetworkConfiguration(
-            n=int(data["n"]), p=float(data["p"]), q=float(data["q"]),
-            adjacency=np.asarray(data["adjacency"], dtype=np.uint8),
-            signs=np.asarray(data["signs"], dtype=np.int8),
-            seed=data.get("seed"), kind="explicit" if data.get("seed") is None else kind,
-        )
-    if data.get("seed") is None:
-        raise ContractError("serialized network needs either matrices or a seed")
-    if kind == "complementary":
-        return build_complementary_network(int(data["n"]), int(data["seed"]))
-    net = sample_network(int(data["n"]), float(data["p"]), float(data["q"]),
-                         int(data["seed"]))
-    return net

@@ -35,7 +35,6 @@ stays the definition the reconvolution oracle reads.
 
 import bisect
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -65,7 +64,6 @@ __all__ = [
     "compensators",
     "extract_martingale_paths",
     "format_spike_trains",
-    "write_spike_trains",
     "read_spike_trains",
 ]
 
@@ -92,8 +90,9 @@ class SimulationConfig:
     record_mean_rate: bool = False
 
     def __post_init__(self):
-        if self.horizon < 0.0:
-            raise ParameterError(f"horizon must be >= 0, got {self.horizon!r}")
+        if not 0.0 <= self.horizon < math.inf:
+            raise ParameterError(
+                f"horizon must be finite and >= 0, got {self.horizon!r}")
         if self.scaling not in ("mean_field", "critical"):
             raise ParameterError(
                 f"scaling must be 'mean_field' or 'critical', got {self.scaling!r}"
@@ -124,13 +123,12 @@ class SpikeTrains:
         """Events per vertex over the whole horizon."""
         return np.array([len(t) for t in self.times], dtype=np.int64)
 
-    def counts_on_grid(self, grid, vertices=None) -> np.ndarray:
+    def counts_on_grid(self, grid) -> np.ndarray:
         """Left-limit counting paths Z^i_{t-} sampled at the grid times."""
         grid = np.asarray(grid, dtype=np.float64)
-        verts = list(range(self.n)) if vertices is None else list(vertices)
-        out = np.empty((len(verts), len(grid)), dtype=np.int64)
-        for a, i in enumerate(verts):
-            out[a] = np.searchsorted(self.times[i], grid, side="left")
+        out = np.empty((self.n, len(grid)), dtype=np.int64)
+        for i, ts in enumerate(self.times):
+            out[i] = np.searchsorted(ts, grid, side="left")
         return out
 
     def merged(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,10 +145,7 @@ class SpikeTrains:
 @dataclass(frozen=True)
 class SimulationResult:
     net: NetworkConfiguration
-    kernel: Kernel
     transfer: TransferFunction
-    config: SimulationConfig
-    backend: str
     trains: SpikeTrains
     grid: np.ndarray
     tracked_input: np.ndarray            # (len(tracked), len(grid))
@@ -352,13 +347,13 @@ def _setup(net, kernel, transfer, cfg):
                                   cfg)
 
 
-def _finalize(net, kernel, transfer, cfg, backend, grid, recorded, trains,
-              candidates, events, ties_nudged):
+def _finalize(net, transfer, horizon, grid, recorded, trains, candidates,
+              events, ties_nudged):
     tracked_input, mean_input, mean_rate, full_input = recorded
     times = tuple(np.asarray(t, dtype=np.float64) for t in trains)
     return SimulationResult(
-        net=net, kernel=kernel, transfer=transfer, config=cfg, backend=backend,
-        trains=SpikeTrains(times=times, horizon=float(cfg.horizon)),
+        net=net, transfer=transfer,
+        trains=SpikeTrains(times=times, horizon=horizon),
         grid=grid, tracked_input=tracked_input, mean_input=mean_input,
         mean_rate=mean_rate, full_input=full_input,
         diagnostics={"candidates": candidates, "events": events,
@@ -420,8 +415,8 @@ def simulate_thinning(net: NetworkConfiguration, kernel: Kernel,
                     last_event = t
                     trains[i].append(t)
                     events += 1
-    return _finalize(net, kernel, transfer, cfg, "thinning", grid,
-                     close(horizon), trains, candidates, events, ties_nudged)
+    return _finalize(net, transfer, horizon, grid, close(horizon), trains,
+                     candidates, events, ties_nudged)
 
 
 def simulate_time_change(net: NetworkConfiguration, kernel: Kernel,
@@ -472,8 +467,8 @@ def simulate_time_change(net: NetworkConfiguration, kernel: Kernel,
             nxt = t + float(gens[i].exponential(scale))
             if nxt < horizon:
                 heapq.heappush(heap, (nxt, i))
-    return _finalize(net, kernel, transfer, cfg, "time_change", grid,
-                     close(horizon), trains, candidates, events, ties_nudged)
+    return _finalize(net, transfer, horizon, grid, close(horizon), trains,
+                     candidates, events, ties_nudged)
 
 
 def recompute_input_from_trains(net: NetworkConfiguration, kernel: Kernel,
@@ -596,58 +591,48 @@ def extract_martingale_paths(result: SimulationResult,
     )
 
 
-def format_spike_trains(trains: SpikeTrains, fmt: str = "csv",
+def format_spike_trains(trains: SpikeTrains,
                         comment: str | None = None) -> str:
-    """Trains as columnar CSV (t,vertex) or JSON lines text, time-ordered.
+    """Trains as columnar CSV (t,vertex), time-ordered.
 
     Floats are written with repr so a rerun of the same simulation produces
-    byte-identical text.  `comment` adds a leading `# ...` line (csv only;
-    JSON-lines readers do not tolerate comment lines).
+    byte-identical text.  `comment` adds a leading `# ...` line.
     """
     ts, vs = trains.merged()
-    if fmt == "csv":
-        lines = [f"# {comment}"] if comment else []
-        lines += ["t,vertex"]
-        lines += [f"{t!r},{v}" for t, v in zip(ts.tolist(), vs.tolist())]
-        return "\n".join(lines) + "\n"
-    if fmt == "jsonl":
-        lines = [json.dumps({"t": t, "vertex": v})
-                 for t, v in zip(ts.tolist(), vs.tolist())]
-        return "\n".join(lines) + ("\n" if lines else "")
-    raise ParameterError(f"unknown spike-train format {fmt!r}")
+    lines = [f"# {comment}"] if comment else []
+    lines += ["t,vertex"]
+    lines += [f"{t!r},{v}" for t, v in zip(ts.tolist(), vs.tolist())]
+    return "\n".join(lines) + "\n"
 
 
-def write_spike_trains(path, trains: SpikeTrains, fmt: str = "csv",
-                       comment: str | None = None):
-    """Persist format_spike_trains(trains, fmt, comment) to path."""
-    text = format_spike_trains(trains, fmt, comment)
-    with open(path, "w") as fh:
-        fh.write(text)
+def read_spike_trains(path, n: int, horizon: float) -> SpikeTrains:
+    """Load the CSV of format_spike_trains back into per-vertex arrays.
 
-
-def read_spike_trains(path, n: int, horizon: float,
-                      fmt: str = "csv") -> SpikeTrains:
-    """Load trains written by write_spike_trains back into per-vertex arrays."""
+    A row that is no (t, vertex) pair of the trains, with t in [0, horizon)
+    and vertex in 0..n-1, raises ContractError naming its line.
+    """
     per_vertex = [[] for _ in range(n)]
     with open(path) as fh:
-        if fmt == "csv":
+        header = fh.readline().strip()
+        lineno = 1
+        while header.startswith("#"):
             header = fh.readline().strip()
-            while header.startswith("#"):
-                header = fh.readline().strip()
-            if header != "t,vertex":
-                raise ContractError(f"unexpected spike-train header {header!r}")
-            for line in fh:
-                if not line.strip():
-                    continue
+            lineno += 1
+        if header != "t,vertex":
+            raise ContractError(f"unexpected spike-train header {header!r}")
+        for lineno, line in enumerate(fh, lineno + 1):
+            if not line.strip():
+                continue
+            try:
                 t_str, v_str = line.split(",")
-                per_vertex[int(v_str)].append(float(t_str))
-        elif fmt == "jsonl":
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                per_vertex[int(rec["vertex"])].append(float(rec["t"]))
-        else:
-            raise ParameterError(f"unknown spike-train format {fmt!r}")
+                t, v = float(t_str), int(v_str)
+                valid = 0 <= v < n and 0.0 <= t < horizon
+            except ValueError:
+                valid = False
+            if not valid:
+                raise ContractError(
+                    f"{path}:{lineno}: {line.strip()!r} is no event "
+                    f"(t in [0, {horizon!r}), vertex in 0..{n - 1})")
+            per_vertex[v].append(t)
     times = tuple(np.asarray(sorted(t), dtype=np.float64) for t in per_vertex)
     return SpikeTrains(times=times, horizon=float(horizon))

@@ -11,14 +11,14 @@ routes stay separate on purpose: their agreement is a cheap consistency
 check exposed as cross_validate_schemes.
 """
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
-    DomainError,
     ParameterError,
     SchemeMismatchError,
     StepSizeError,
@@ -42,7 +42,6 @@ class IntensityPath:
 
     grid: np.ndarray
     values: np.ndarray
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=np.float64)
@@ -55,28 +54,17 @@ class IntensityPath:
         object.__setattr__(self, "values", v)
 
     @property
-    def horizon(self) -> float:
-        return float(self.grid[-1])
-
-    @property
     def dt(self) -> float:
         return float(self.grid[1] - self.grid[0]) if len(self.grid) > 1 else 0.0
 
     def __len__(self):
         return len(self.grid)
 
-    def at(self, t):
-        """Linear interpolation; t must lie inside [0, horizon]."""
-        arr = np.asarray(t, dtype=np.float64)
-        if np.any(arr < -1e-12) or np.any(arr > self.horizon + 1e-12):
-            raise DomainError(f"t outside [0, {self.horizon}]")
-        out = np.interp(arr, self.grid, self.values)
-        return float(out) if np.isscalar(t) else out
-
 
 def _resolve_grid(horizon, dt):
-    if horizon < 0.0:
-        raise ParameterError(f"horizon must be >= 0, got {horizon!r}")
+    if not 0.0 <= horizon < math.inf:
+        raise ParameterError(
+            f"horizon must be finite and >= 0, got {horizon!r}")
     if horizon == 0.0:
         return np.zeros(1), 0
     if dt is None:
@@ -107,19 +95,17 @@ def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,
         raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
     grid, m = _resolve_grid(float(horizon), dt)
     c = (2.0 * p - 1.0) * q
-    meta = {"scheme": scheme, "p": float(p), "q": float(q),
-            "dt": float(grid[1] - grid[0]) if m else 0.0}
     if scheme not in ("volterra_trapezoid", "ode_rk4"):
         raise SchemeMismatchError(f"unknown scheme {scheme!r}")
     if scheme == "ode_rk4" and not kernel.is_exponential:
         raise SchemeMismatchError("ode_rk4 applies to exponential kernels only")
     if m == 0 or c == 0.0:
-        return IntensityPath(grid=grid, values=np.zeros_like(grid), meta=meta)
+        return IntensityPath(grid=grid, values=np.zeros_like(grid))
     if scheme == "ode_rk4":
         values = _rk4(kernel.rate, transfer, c, grid)
     else:
         values = _trapezoid(kernel, transfer, c, grid)
-    return IntensityPath(grid=grid, values=values, meta=meta)
+    return IntensityPath(grid=grid, values=values)
 
 
 def _trapezoid(kernel, transfer, c, grid):

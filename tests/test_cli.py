@@ -12,8 +12,8 @@ from hawkes_meanfield.config import (experiment_kwargs, load_config,
 from hawkes_meanfield.errors import ConfigError
 from hawkes_meanfield.network import sample_network
 from hawkes_meanfield.rng import replicate_seed
-from hawkes_meanfield.simulator import (SimulationConfig, simulate_thinning,
-                                        write_spike_trains)
+from hawkes_meanfield.simulator import (SimulationConfig, format_spike_trains,
+                                        simulate_thinning)
 
 
 def _doc(**over):
@@ -172,16 +172,15 @@ def test_simulate_replays_byte_identically(tmp_path):
     # replicates see different event noise
     assert (tmp_path / "a" / "events_r000.csv").read_bytes() != \
         (tmp_path / "a" / "events_r001.csv").read_bytes()
-    # the CLI writes exactly what write_spike_trains writes for replicate 0
+    # the CLI writes exactly what format_spike_trains gives for replicate 0
     rs = replicate_seed(404, 0)
     c = validate_config(_doc())
     res = simulate_thinning(
         sample_network(c.n, c.p, c.q, rs), c.build_kernel(),
         c.build_transfer(), SimulationConfig(horizon=c.horizon, seed=rs))
-    direct = tmp_path / "direct.csv"
-    write_spike_trains(direct, res.trains, comment="schema: events v1")
+    direct = format_spike_trains(res.trains, comment="schema: events v1")
     assert (tmp_path / "a" / "events_r000.csv").read_bytes() == \
-        direct.read_bytes()
+        direct.encode()
 
 
 def test_simulate_overrides_change_output(tmp_path):
@@ -341,6 +340,50 @@ def test_usage_and_config_errors_exit_two(tmp_path, capsys):
     assert "output.directory" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("table, message", [
+    ("kernel", "nodes must start at 0 and increase strictly"),
+    ("transfer", "nodes must increase strictly"),
+])
+def test_tables_the_constructors_refuse_are_config_errors(tmp_path, capsys,
+                                                          table, message):
+    doc = _doc(model=dict(_doc()["model"], **{
+        table: {"tabulated": {"nodes": [0.5, 0.25], "values": [1.0, 0.0]}}}))
+    path = f"model.{table}.tabulated"
+    with pytest.raises(ConfigError, match=f"{path}: {message}"):
+        validate_config(doc)
+    assert main(["meanfield", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "mf")]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: {path}: {message}\n"
+    assert not (tmp_path / "mf").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "meanfield", "fluctuations",
+                                     "verify", "plot-data"])
+def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
+                                                      command):
+    # exit 1 means a FAIL verdict, so an unusable --out must not end there
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    if command == "plot-data":
+        report = tmp_path / "report.json"
+        report.write_text(json.dumps(
+            {"experiment": "critical", "params": {}, "tolerances": {},
+             "tables": {}, "checks": []}), encoding="utf-8")
+        argv = ["plot-data", str(report),
+                "--out", str(blocker / "sub" / "plotdata.csv")]
+    else:
+        argv = [command, "--config", _write(tmp_path, _doc()),
+                "--out", str(blocker / "sub")]
+        if command == "verify":
+            argv += ["--experiment", "lln"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot create output directory "
+                          f"{blocker / 'sub'}")
+    assert len(err.splitlines()) == 1
 
 
 def test_verify_without_experiment_exits_two_before_any_output(tmp_path,

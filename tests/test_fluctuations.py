@@ -10,7 +10,6 @@ from hawkes_meanfield.errors import (ContractError,
                                      DerivativeUnavailableError,
                                      ParameterError)
 from hawkes_meanfield.fluctuations import (_left_point_terms,
-                                           covariance_matrix,
                                            jackknife_covariance,
                                            sample_terminal_fluctuations,
                                            simulate_fluctuations,
@@ -241,26 +240,6 @@ def test_jackknife_matches_direct_covariance():
     assert flat_se[0, 0] > 0.0
     with pytest.raises(ContractError):
         jackknife_covariance(x[:2])
-
-
-def test_covariance_matrix_over_stored_samples():
-    path = _coarse_path(m=64)
-    samples = [simulate_fluctuations(path, EXP, ARCTAN, 0.8, 0.5, 2, seed=2,
-                                     sample_index=i) for i in range(12)]
-    cov, se = jackknife_covariance(
-        np.column_stack([[s.kbar[-1] for s in samples],
-                         [s.k[0, -1] for s in samples],
-                         [s.k[1, -1] for s in samples]]))
-    cov2, se2 = covariance_matrix(samples, path.horizon)
-    np.testing.assert_allclose(cov2, cov, rtol=1e-12)
-    np.testing.assert_allclose(se2, se, rtol=1e-12)
-    other = _coarse_path(m=32)
-    mixed = samples[:2] + [simulate_fluctuations(other, EXP, ARCTAN, 0.8, 0.5,
-                                                 2, seed=2, sample_index=99)]
-    with pytest.raises(ContractError):
-        covariance_matrix(mixed, path.horizon)
-    with pytest.raises(ContractError):
-        covariance_matrix(samples[:2], path.horizon)
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,8 @@ No linter ships with the test environment, so this is the unused-import
 rule (pyflakes F401) written with `ast`.  A name counts as used when the
 module reads it or lists it in `__all__`; an import line marked
 `# noqa: F401` is exempt, for a name other code looks up on the module.
-`__init__.py` re-exports by importing, so it is not checked.
+`__init__.py` re-exports by importing, so it is not checked for unused
+imports; instead its re-exports must match each module's `__all__`.
 """
 
 import ast
@@ -35,14 +36,20 @@ def _imported(tree, lines):
     return names
 
 
-def _used(tree):
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+def _public(tree):
+    """The names a module lists in `__all__`."""
+    names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__"
                 for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    return used
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
+def _used(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return used | _public(tree)
 
 
 def _unused_imports(source):
@@ -64,3 +71,23 @@ def test_the_check_sees_unused_and_exempt_imports():
 def test_module_uses_every_import(module):
     source = (PACKAGE / module).read_text(encoding="utf-8")
     assert _unused_imports(source) == []
+
+
+def _reexports(tree):
+    """{module: set of names} that `from .module import ...` binds."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.setdefault(node.module, set()).update(
+                a.name for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", ["network", "kernels", "volterra",
+                                    "simulator", "fluctuations"])
+def test_package_reexports_exactly_the_public_names(module):
+    # a name deleted from a module cannot linger as a stale export, and a
+    # name added to __all__ is exported from the package too
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    source = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    assert _reexports(init)[module] == _public(source)

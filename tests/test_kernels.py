@@ -9,7 +9,7 @@ from hawkes_meanfield.errors import (ContractError, DerivativeUnavailableError,
                                      DomainError, ParameterError)
 from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
                                       convolution_bound_constant,
-                                      convolve_density, convolve_with_path,
+                                      convolve_with_path,
                                       exponential_kernel, tabulated_kernel,
                                       tabulated_transfer)
 
@@ -20,7 +20,6 @@ def test_exponential_kernel_closed_form():
     assert k(1.5) == pytest.approx(math.exp(-3.0), rel=1e-15)
     ts = np.linspace(0.0, 4.0, 33)
     np.testing.assert_allclose(k(ts), np.exp(-2.0 * ts))
-    np.testing.assert_allclose(k.derivative(ts), -2.0 * np.exp(-2.0 * ts))
     assert k.l1_norm == 0.5
     assert k.sup_norm == 1.0
     assert k.deriv_sup == 2.0
@@ -161,16 +160,6 @@ def test_convolution_input_validation():
         convolve_with_path(k, 1.0, np.array([1.0]), np.array([1.0, 2.0]))
     with pytest.raises(DomainError):
         convolve_with_path(k, -1.0, np.array([0.5]))
-
-
-def test_density_convolution_against_closed_form():
-    # int_0^t e^{-(t-s)} ds = 1 - e^{-t}; trapezoid error is O(dt^2)
-    k = exponential_kernel(1.0)
-    grid = np.linspace(0.0, 5.0, 4001)
-    ones = np.ones_like(grid)
-    for t in (0.5, 2.0, 4.9):
-        out = convolve_density(k, t, grid, ones)
-        assert out == pytest.approx(1.0 - math.exp(-t), abs=1e-6)
 
 
 def test_bound_constant_value():

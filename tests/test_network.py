@@ -8,8 +8,6 @@ from hawkes_meanfield.network import (
     NetworkConfiguration,
     build_complementary_network,
     compute_weight_statistics,
-    network_from_dict,
-    network_to_dict,
     row_blocks,
     sample_network,
 )
@@ -192,37 +190,6 @@ def test_complementary_remaining_columns_are_random():
     rest = net.adjacency[:, 2:]
     se = np.sqrt(0.25 / rest.size)
     assert abs(rest.mean() - 0.5) < 4 * se
-
-
-def test_roundtrip_by_seed():
-    net = sample_network(30, 0.7, 0.4, seed=42)
-    back = network_from_dict(network_to_dict(net))
-    assert back.kind == "erdos_renyi"
-    np.testing.assert_array_equal(back.adjacency, net.adjacency)
-    np.testing.assert_array_equal(back.signs, net.signs)
-
-
-def test_roundtrip_with_matrices():
-    net = sample_network(30, 0.7, 0.4, seed=42)
-    data = network_to_dict(net, include_matrices=True)
-    data["seed"] = None
-    back = network_from_dict(data)
-    assert back.kind == "explicit"
-    np.testing.assert_array_equal(back.adjacency, net.adjacency)
-
-
-def test_roundtrip_complementary():
-    net = build_complementary_network(20, seed=6)
-    back = network_from_dict(network_to_dict(net))
-    assert back.kind == "complementary"
-    np.testing.assert_array_equal(back.adjacency, net.adjacency)
-    np.testing.assert_array_equal(back.signs, net.signs)
-
-
-def test_serialized_network_needs_seed_or_matrices():
-    with pytest.raises(ContractError):
-        network_from_dict({"kind": "erdos_renyi", "n": 5, "p": 0.5, "q": 0.5,
-                           "seed": None})
 
 
 @pytest.mark.parametrize("build", [

@@ -15,11 +15,11 @@ from hawkes_meanfield.network import build_complementary_network, sample_network
 from hawkes_meanfield.simulator import (SimulationConfig, SpikeTrains,
                                         compensators,
                                         extract_martingale_paths,
+                                        format_spike_trains,
                                         read_spike_trains,
                                         recompute_input_from_trains,
                                         simulate_thinning,
-                                        simulate_time_change,
-                                        write_spike_trains)
+                                        simulate_time_change)
 
 EXP = exponential_kernel(1.0)
 ARCTAN = arctan_transfer()
@@ -171,8 +171,10 @@ def test_config_validation():
     cfg = SimulationConfig(horizon=1.0, seed=1, tracked_vertices=(5,))
     with pytest.raises(ParameterError):
         simulate_thinning(net, EXP, ARCTAN, cfg)
-    with pytest.raises(ParameterError):
-        SimulationConfig(horizon=-1.0, seed=1)
+    # an infinite horizon would never end the event loop; nan never compares
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="horizon"):
+            SimulationConfig(horizon=horizon, seed=1)
 
 
 @pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
@@ -257,33 +259,40 @@ def test_extract_validates_vertices():
 
 def test_spike_train_roundtrip_csv_and_jsonl(tmp_path):
     _, _, res = _small_run()
-    for fmt in ("csv", "jsonl"):
-        path = tmp_path / f"events.{fmt}"
-        write_spike_trains(path, res.trains, fmt=fmt)
-        back = read_spike_trains(path, res.trains.n, res.trains.horizon,
-                                 fmt=fmt)
-        for ta, tb in zip(res.trains.times, back.times):
-            np.testing.assert_array_equal(ta, tb)
+    path = tmp_path / "events.csv"
+    path.write_text(format_spike_trains(res.trains))
+    back = read_spike_trains(path, res.trains.n, res.trains.horizon)
+    for ta, tb in zip(res.trains.times, back.times):
+        np.testing.assert_array_equal(ta, tb)
+    # JSON lines are not a spike-train format: refused, not misread
+    old = tmp_path / "events.jsonl"
+    old.write_text('{"t": 0.5, "vertex": 1}\n')
+    with pytest.raises(ContractError, match="header"):
+        read_spike_trains(old, res.trains.n, res.trains.horizon)
 
 
 def test_spike_train_csv_comment_and_errors(tmp_path):
     _, _, res = _small_run()
     path = tmp_path / "events.csv"
-    write_spike_trains(path, res.trains, comment="schema: events v1")
+    path.write_text(format_spike_trains(res.trains,
+                                        comment="schema: events v1"))
     assert path.read_text().startswith("# schema: events v1\n")
     back = read_spike_trains(path, res.trains.n, res.trains.horizon)
     assert back.total_events == res.trains.total_events
-    with pytest.raises(ParameterError):
-        write_spike_trains(path, res.trains, fmt="parquet")
     bad = tmp_path / "bad.csv"
     bad.write_text("wrong,header\n")
     with pytest.raises(ContractError):
         read_spike_trains(bad, 5, 1.0)
 
 
-def test_rewriting_produces_identical_bytes(tmp_path):
-    _, _, res = _small_run()
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_spike_trains(a, res.trains)
-    write_spike_trains(b, res.trains)
-    assert a.read_bytes() == b.read_bytes()
+def test_spike_train_rows_outside_the_trains_are_refused(tmp_path):
+    path = tmp_path / "events.csv"
+    for row in ("0.5,-1", "0.5,7", "2.5,0", "-0.1,0", "nan,0", "0.5"):
+        path.write_text(f"# schema: events v1\nt,vertex\n0.25,1\n{row}\n")
+        with pytest.raises(ContractError, match=r"events\.csv:4"):
+            read_spike_trains(path, 3, 1.0)
+
+
+def test_rewriting_produces_identical_bytes():
+    a = format_spike_trains(_small_run()[2].trains)
+    assert a == format_spike_trains(_small_run()[2].trains)

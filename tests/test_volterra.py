@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from hawkes_meanfield.errors import (DomainError, ParameterError,
+from hawkes_meanfield.errors import (ParameterError,
                                      SchemeMismatchError, StepSizeError)
 from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
                                       exponential_kernel, tabulated_kernel)
@@ -111,19 +111,6 @@ def test_fixed_point_without_contraction_scans_all_roots():
     assert roots.max() > 0.0
 
 
-def test_path_interpolation_and_domain():
-    path = solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 2.0, dt=0.25)
-    assert path.grid[-1] == 2.0
-    assert path.at(0.0) == 0.0
-    mid = path.at(0.375)
-    assert min(path.values[1], path.values[2]) <= mid <= max(path.values[1],
-                                                            path.values[2])
-    with pytest.raises(DomainError):
-        path.at(2.5)
-    with pytest.raises(DomainError):
-        path.at(-0.5)
-
-
 def test_grid_rounds_dt_to_land_on_horizon():
     path = solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 1.0, dt=0.3)
     assert path.grid[-1] == 1.0
@@ -146,8 +133,9 @@ def test_parameter_validation():
         solve_mean_field(EXP, ARCTAN, 1.5, 0.5, 1.0)
     with pytest.raises(ParameterError):
         solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 1.0, dt=2.0)
-    with pytest.raises(ParameterError):
-        solve_mean_field(EXP, ARCTAN, 0.8, 0.5, -1.0)
+    for horizon in (-1.0, math.inf, math.nan):
+        with pytest.raises(ParameterError, match="horizon"):
+            solve_mean_field(EXP, ARCTAN, 0.8, 0.5, horizon)
 
 
 def test_tabulated_kernel_reproduces_exponential_solution():
