@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import (
     ConfigError,
@@ -703,6 +702,8 @@ def critical_verdicts(tables, tolerances):
         ))
         return checks
 
+    from scipy import stats as sps
+
     corr = np.asarray(tables["increment_correlations"])
     negative = int(np.sum(corr < 0.0))
     pval = float(sps.binomtest(negative, len(corr), 0.5,
@@ -803,6 +804,8 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
 
 def _poisson_gof(samples, mu):
     """Chi-square of integer samples against Poisson(mu), bins merged to >= 5."""
+    from scipy import stats as sps
+
     samples = np.asarray(samples)
     total = len(samples)
     hi = int(max(samples.max(initial=0), mu) + 10 * math.sqrt(mu + 1.0)) + 1

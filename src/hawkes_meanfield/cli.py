@@ -13,11 +13,13 @@ run-local noise, so a replay is byte-identical.  CSV files start with a
 `# schema: <name> v1` comment line.
 
 Exit status: 0 on success, 1 when verify produced a FAIL verdict, 2 on
-usage or config errors.
+usage or config errors.  On exit 2 the output directories the run created
+and left empty are removed again; one that already existed is kept.
 """
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import os
@@ -98,20 +100,34 @@ def _load_cfg(args, experiment_flag=None):
     return validate_config(doc)
 
 
-def _make_dir(path):
-    """mkdir -p; a path that cannot be created raises ConfigError naming it."""
+def _make_dir(path, made):
+    """mkdir -p; a path that cannot be created raises ConfigError naming it.
+
+    Each directory this call creates is appended to made, outermost first.
+    """
+    # os.path answers False where Path.exists raises (a name too long)
+    missing = [d for d in (path, *path.parents) if not os.path.lexists(d)]
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {path}: "
                           f"{exc.strerror or exc}") from exc
+    finally:  # mkdir may fail after making some of the parents
+        made.extend(d for d in reversed(missing) if os.path.isdir(d))
     return path
 
 
-def _ensure_outdir(cfg):
+def _remove_empty_dirs(made):
+    """Remove the directories in made that are still empty, deepest first."""
+    for d in reversed(made):
+        with contextlib.suppress(OSError):  # not empty, or already gone
+            d.rmdir()
+
+
+def _ensure_outdir(cfg, made):
     if cfg.out_dir is None:
         raise ConfigError("output.directory: required (or pass --out)")
-    return _make_dir(Path(cfg.out_dir))
+    return _make_dir(Path(cfg.out_dir), made)
 
 
 def _write_manifest(outdir, command, cfg, jobs=1):
@@ -152,7 +168,7 @@ def _cmd_simulate(args):
     cfg = _load_cfg(args)
     if isinstance(cfg.n, list):
         raise ConfigError("model.n: simulate takes a single size")
-    outdir = _ensure_outdir(cfg)
+    outdir = _ensure_outdir(cfg, args.made_dirs)
     jobs = _resolve_jobs(args)
     doc = cfg.resolved()
     worker = functools.partial(_events_csv, doc)
@@ -174,7 +190,7 @@ def _cmd_simulate(args):
 
 def _cmd_meanfield(args):
     cfg = _load_cfg(args)
-    outdir = _ensure_outdir(cfg)
+    outdir = _ensure_outdir(cfg, args.made_dirs)
     path = solve_mean_field(cfg.build_kernel(), cfg.build_transfer(),
                             cfg.p, cfg.q, cfg.horizon, cfg.dt)
     lines = ["# schema: meanfield v1", "t,I"]
@@ -192,7 +208,7 @@ def _cmd_meanfield(args):
 
 def _cmd_fluctuations(args):
     cfg = _load_cfg(args)
-    outdir = _ensure_outdir(cfg)
+    outdir = _ensure_outdir(cfg, args.made_dirs)
     kernel = cfg.build_kernel()
     transfer = cfg.build_transfer()
     mean_path = solve_mean_field(kernel, transfer, cfg.p, cfg.q, cfg.horizon,
@@ -225,7 +241,7 @@ def _cmd_fluctuations(args):
 def _cmd_verify(args):
     cfg = _load_cfg(args, experiment_flag=args.experiment)
     kwargs = experiment_kwargs(cfg)
-    outdir = _ensure_outdir(cfg)
+    outdir = _ensure_outdir(cfg, args.made_dirs)
     report = run_experiment(cfg.experiment, **kwargs)
     _write_manifest(outdir, "verify", cfg)
     _write_atomic(outdir / "report.json", _json_text(report.to_dict()))
@@ -319,7 +335,7 @@ def _cmd_plot_data(args):
         raise ConfigError(f"report {path}: tables do not hold the "
                           f"{report.experiment} data ({exc!r})") from exc
     out = Path(args.out) if args.out else path.with_name("plotdata.csv")
-    _make_dir(out.parent)
+    _make_dir(out.parent, args.made_dirs)
     _write_atomic(out, text)
     print(f"wrote {out}")
     return 0
@@ -389,18 +405,18 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.made_dirs = []  # filled by _make_dir, emptied again on exit 2
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        message = f"config error: {exc}"
     except ToolkitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = f"error: {exc}"
     except MemoryError as exc:
-        print(f"error: out of memory: {str(exc) or type(exc).__name__}",
-              file=sys.stderr)
-        return 2
+        message = f"error: out of memory: {str(exc) or type(exc).__name__}"
+    print(message, file=sys.stderr)
+    _remove_empty_dirs(args.made_dirs)
+    return 2
 
 
 if __name__ == "__main__":

@@ -84,12 +84,12 @@ class Kernel:
         """phi evaluated at 0, dt, ..., m*dt (zero past the support)."""
         return self.padded(dt * np.arange(m + 1))
 
-    def truncation_lag(self, rel: float = 1e-12) -> float:
-        """Lag beyond which phi is below rel * sup_norm and may be dropped."""
+    def truncation_lag(self) -> float:
+        """Lag beyond which phi is below 1e-12 * sup_norm and may be dropped."""
         if self.is_exponential:
             if self.rate == 0.0:
                 return math.inf
-            return -math.log(rel) / self.rate
+            return -math.log(1e-12) / self.rate
         return float(self.nodes[-1])
 
 

@@ -142,7 +142,6 @@ class WeightStatistics:
     w_n_i: np.ndarray
     w_tilde: np.ndarray
     mean_square_w: float
-    sign_mean: float
 
 
 def _empty_adjacency(n):
@@ -239,5 +238,4 @@ def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:
         w_n_i=w_n_i,
         w_tilde=w_tilde,
         mean_square_w=float(np.mean(w_n_i**2)),
-        sign_mean=float(u.mean()),
     )

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     ContractError,
@@ -501,6 +500,8 @@ def compensators(result: SimulationResult) -> np.ndarray:
 
     Trapezoid quadrature of the recorded full input; needs record_full=True.
     """
+    from scipy.integrate import cumulative_trapezoid
+
     if result.full_input is None:
         raise RecordingMissingError("compensators need record_full=True")
     rates = result.transfer(result.full_input)

@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     ParameterError,
@@ -52,13 +51,6 @@ class IntensityPath:
         v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-
-    @property
-    def dt(self) -> float:
-        return float(self.grid[1] - self.grid[0]) if len(self.grid) > 1 else 0.0
-
-    def __len__(self):
-        return len(self.grid)
 
 
 def _resolve_grid(horizon, dt):
@@ -179,6 +171,8 @@ def fixed_point(kernel: Kernel, transfer: TransferFunction, p: float, q: float):
     polished with Brent's method, a warning is emitted, and all roots found
     are returned as an array.
     """
+    from scipy.optimize import brentq
+
     if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
         raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
     a = (2.0 * p - 1.0) * q * kernel.l1_norm

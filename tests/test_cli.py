@@ -5,11 +5,11 @@ import subprocess
 
 import pytest
 
-from hawkes_meanfield import analysis
+from hawkes_meanfield import analysis, cli
 from hawkes_meanfield.cli import main
 from hawkes_meanfield.config import (experiment_kwargs, load_config,
                                      validate_config)
-from hawkes_meanfield.errors import ConfigError
+from hawkes_meanfield.errors import ConfigError, ParameterError
 from hawkes_meanfield.network import sample_network
 from hawkes_meanfield.rng import replicate_seed
 from hawkes_meanfield.simulator import (SimulationConfig, format_spike_trains,
@@ -386,6 +386,18 @@ def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
     assert len(err.splitlines()) == 1
 
 
+def test_output_name_too_long_exits_two_and_removes_its_parents(tmp_path,
+                                                                 capsys):
+    # the parents are made before the last name is refused
+    out = tmp_path / "new" / ("x" * 300)
+    assert main(["meanfield", "--config", _write(tmp_path, _doc()),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot create output directory "
+                          f"{out}: File name too long")
+    assert not (tmp_path / "new").exists()
+
+
 def test_verify_without_experiment_exits_two_before_any_output(tmp_path,
                                                                 capsys):
     cfg = _write(tmp_path, _doc())
@@ -419,10 +431,50 @@ def test_unallocatable_runs_exit_two(tmp_path, capsys, command, section, key,
     doc = _doc()
     doc[section][key] = value
     assert main([command, "--config", _write(tmp_path, doc),
-                 "--out", str(tmp_path / "out")]) == 2
+                 "--out", str(tmp_path / "runs" / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot allocate")
     assert len(err.splitlines()) == 1
+    # the output directories the run created are removed again
+    assert not (tmp_path / "runs").exists()
+
+
+def test_verify_refused_after_making_out_removes_it(tmp_path, capsys):
+    # lln counts its replicates only after --out exists
+    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "runs" / "out")]) == 2
+    assert capsys.readouterr().err == "error: need at least 3 replicates\n"
+    assert not (tmp_path / "runs").exists()
+
+
+def test_exit_two_keeps_existing_and_nonempty_directories(tmp_path, capsys,
+                                                           monkeypatch):
+    doc = _doc()
+    doc["model"]["n"] = 10 ** 10
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    assert main(["simulate", "--config", _write(tmp_path, doc),
+                 "--out", str(kept)]) == 2
+    assert kept.is_dir()
+    assert main(["simulate", "--config", _write(tmp_path, doc),
+                 "--out", str(kept / "sub")]) == 2
+    assert list(kept.iterdir()) == []
+
+    # a directory the run created is kept once something was written in it
+    out = tmp_path / "made" / "out"
+
+    def write_then_fail(*args, **kwargs):
+        (out / "partial.txt").write_text("", encoding="utf-8")
+        raise ParameterError("failed after writing")
+
+    monkeypatch.setattr(cli, "run_experiment", write_then_fail)
+    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+    doc["run"]["replicates"] = 3
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("error: failed after writing\n")
+    assert [p.name for p in out.iterdir()] == ["partial.txt"]
 
 
 def test_verify_out_of_memory_exits_two(tmp_path, capsys, monkeypatch):

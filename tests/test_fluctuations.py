@@ -88,7 +88,7 @@ def test_balanced_case_path_is_explicit_driver_sum():
     q = 0.5
     s = simulate_fluctuations(path, EXP, ARCTAN, 0.5, q, 1, seed=21)
     m = len(path.grid) - 1
-    dt = path.dt
+    dt = path.grid[1] - path.grid[0]
     decay = math.exp(-dt)
     expect = np.zeros(m + 1)
     for j in range(m):
@@ -115,7 +115,7 @@ def test_balanced_case_terminal_variance_closed_form():
     q, n_samples = 0.5, 4000
     batch = sample_terminal_fluctuations(path, EXP, ARCTAN, 0.5, q, 0,
                                          n_samples=n_samples, seed=77)
-    dt = path.dt
+    dt = path.grid[1] - path.grid[0]
     powers = np.exp(-dt * np.arange(1, len(path.grid)))
     target = q ** 2 * ((dt * powers.sum()) ** 2 + dt * (powers ** 2).sum())
     var = np.var(batch["kbar"], ddof=1)
@@ -166,7 +166,7 @@ def test_tabulated_kernel_reproduces_exponential_recursion():
     # the same weighted sums as the exponential recursion
     path = _coarse_path(m=64)
     m = len(path.grid) - 1
-    dt = path.dt
+    dt = path.grid[1] - path.grid[0]
     nodes = dt * np.arange(m + 1)
     tab = tabulated_kernel(nodes, np.exp(-nodes))
     assert not tab.is_exponential

@@ -9,6 +9,10 @@ imports; instead its re-exports must match each module's `__all__`.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -91,3 +95,49 @@ def test_package_reexports_exactly_the_public_names(module):
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     source = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     assert _reexports(init)[module] == _public(source)
+
+
+# Imports the package, validates every shipped config and runs a toy clt and
+# a toy time-change lln verify in a fresh interpreter, then lists the scipy
+# modules loaded.  Only the critical sign test, the independence
+# goodness-of-fit test, the compensators and the stationary-point solver
+# import scipy, inside those functions.
+_SCIPY_FREE_RUN = """
+import json, sys
+from pathlib import Path
+
+import hawkes_meanfield
+from hawkes_meanfield import cli
+from hawkes_meanfield.config import load_config, validate_config
+
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    validate_config(load_config(path))
+model = {"p": 0.8, "q": 0.5, "kernel": {"exponential": {"rate": 1.0}},
+         "transfer": {"arctan": {}}}
+tmp = Path(sys.argv[2])
+for name, n, run, options in [
+        ("clt", 40, {"replicates": 8},
+         {"n_tracked": 2, "limit_samples": 200}),
+        ("lln", [15, 30], {"replicates": 3, "backend": "time_change"}, {})]:
+    doc = {"experiment": name, "model": dict(model, n=n),
+           "run": dict(run, horizon=1.0, seed=7), "options": options}
+    cfg = tmp / f"{name}.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    status = cli.main(["verify", "--config", str(cfg),
+                       "--out", str(tmp / name)])
+    assert status in (0, 1), (name, status)
+print(json.dumps(sorted(m for m in sys.modules
+                        if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def test_package_and_clt_lln_verify_never_load_scipy(tmp_path):
+    # the test process itself has scipy loaded, hence the subprocess
+    root = PACKAGE.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(root / "configs"),
+         str(tmp_path)], env=env, capture_output=True, text=True,
+        timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -60,8 +60,8 @@ def test_tabulated_kernel_validation():
 
 def test_truncation_lag():
     k = exponential_kernel(2.0)
-    lag = k.truncation_lag(1e-10)
-    assert k(lag) == pytest.approx(1e-10, rel=1e-12)
+    lag = k.truncation_lag()
+    assert k(lag) == pytest.approx(1e-12, rel=1e-12)
     tab = tabulated_kernel([0.0, 3.0], [1.0, 0.0])
     assert tab.truncation_lag() == 3.0
 

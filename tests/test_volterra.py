@@ -125,7 +125,7 @@ def test_unallocatable_grid_is_a_parameter_error():
 
 def test_zero_horizon():
     path = solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 0.0)
-    assert len(path) == 1 and path.values[0] == 0.0
+    assert path.grid.shape == (1,) and path.values[0] == 0.0
 
 
 def test_parameter_validation():
