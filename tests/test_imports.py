@@ -97,9 +97,9 @@ def test_package_reexports_exactly_the_public_names(module):
     assert _reexports(init)[module] == _public(source)
 
 
-# Imports the package, validates every shipped config and runs a toy clt and
-# a toy time-change lln verify in a fresh interpreter, then lists the scipy
-# modules loaded.  Only the critical sign test, the independence
+# Imports the package, validates every shipped config, runs simulate,
+# meanfield and fluctuations and a toy clt and a toy time-change lln verify
+# in a fresh interpreter, then lists the scipy modules loaded.  Only the critical sign test, the independence
 # goodness-of-fit test, the compensators and the stationary-point solver
 # import scipy, inside those functions.
 _SCIPY_FREE_RUN = """
@@ -115,6 +115,15 @@ for path in sorted(Path(sys.argv[1]).glob("*.json")):
 model = {"p": 0.8, "q": 0.5, "kernel": {"exponential": {"rate": 1.0}},
          "transfer": {"arctan": {}}}
 tmp = Path(sys.argv[2])
+cfg = tmp / "single.json"
+cfg.write_text(json.dumps({"model": dict(model, n=25),
+                           "run": {"horizon": 1.0, "replicates": 2,
+                                   "seed": 7}}),
+               encoding="utf-8")
+for command in ("simulate", "meanfield", "fluctuations"):
+    status = cli.main([command, "--config", str(cfg),
+                       "--out", str(tmp / command)])
+    assert status == 0, (command, status)
 for name, n, run, options in [
         ("clt", 40, {"replicates": 8},
          {"n_tracked": 2, "limit_samples": 200}),
@@ -131,7 +140,7 @@ print(json.dumps(sorted(m for m in sys.modules
 """
 
 
-def test_package_and_clt_lln_verify_never_load_scipy(tmp_path):
+def test_package_commands_and_clt_lln_verify_never_load_scipy(tmp_path):
     # the test process itself has scipy loaded, hence the subprocess
     root = PACKAGE.parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
