@@ -329,6 +329,12 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     within pooled standard-error bands; the covariance must also show the
     exchangeable structure (diagonal strictly above off-diagonal when
     0 < q < 1).
+
+    Only the terminal input is read, so each replicate is simulated with
+    dt=horizon: it records the two grid points {0, T}.  The event times do
+    not depend on the grid and T is recorded at the horizon either way, so
+    the values equal those of the full grid bit for bit.  dt sets the grid
+    of the mean-field solve and of terminal_covariance.
     """
     if n_tracked < 2:
         raise ParameterError("n_tracked must be >= 2 (a covariance pair)")
@@ -348,8 +354,8 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
 
     finite = np.array(_replicates(
         run, reduce, sizes=[n], replicates=replicates, seed=seed,
-        kernel=kernel, transfer=transfer, horizon=horizon, dt=dt, p=p, q=q,
-        tracked_vertices=tuple(range(n_tracked)))[0])
+        kernel=kernel, transfer=transfer, horizon=horizon, dt=horizon, p=p,
+        q=q, tracked_vertices=tuple(range(n_tracked)))[0])
 
     cov_f, se_f, loo_f = jackknife_covariance(finite, return_loo=True)
     gap_se = _jackknife_se(loo_f[:, 1, 1] - loo_f[:, 1, 2])
@@ -760,6 +766,10 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     pairwise count correlations must be consistent with zero and the count
     histogram must pass a chi-square test against the Poisson law with mean
     int_0^T h(I) ds.
+
+    Only the event counts are read, so each replicate is simulated with
+    dt=horizon and records just the grid points {0, T}; dt sets the grid
+    of the mean-field solve behind the Poisson mean.
     """
     sizes = [int(x) for x in sizes]
     if sorted(sizes) != sizes or len(sizes) < 1:
@@ -775,7 +785,7 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     runs = _replicates(
         run, lambda n, net, res: res.trains.counts()[:m_vertices].copy(),
         sizes=sizes, replicates=replicates, seed=seed, kernel=kernel,
-        transfer=transfer, horizon=horizon, dt=dt, p=p, q=q,
+        transfer=transfer, horizon=horizon, dt=horizon, p=p, q=q,
         tracked_vertices=())
     counts = {str(n): np.array(rows) for n, rows in zip(sizes, runs)}
 

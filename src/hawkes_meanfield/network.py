@@ -14,6 +14,7 @@ directly, and ``signed_rows`` is the dense definition the reconvolution
 oracle and the tests check them against.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,17 +43,27 @@ def row_blocks(n: int, width: int):
 def _draw_bernoulli(g, out, prob):
     """Fill the uint8 matrix `out` with 1{U < prob}, row block by row block.
 
-    Consecutive Generator.random blocks yield the same doubles as one (n, m)
-    draw, so the matrix equals (g.random(out.shape) < prob) bit for bit.
+    The matrix equals (g.random(out.shape) < prob) bit for bit, and the
+    stream is left where that draw leaves it, but no double is formed.
+    Generator.random maps a raw 64-bit Philox word w to U = m * 2**-53 with
+    the integer m = w >> 11.  prob * 2**53 is exact (a power-of-two scaling),
+    so U < prob exactly when m < k = ceil(prob * 2**53), that is when
+    w < k << 11.  prob = 1 gives k << 11 = 2**64, which no uint64 holds:
+    every entry is then 1, and the words are drawn all the same.  Consecutive
+    blocks of raw words are the words of one (rows, width) draw; each block
+    is released before the next is drawn.
     """
     rows, width = out.shape
-    blocks = row_blocks(rows, width)
-    buf = np.empty((blocks[0].stop, width))
-    for sl in blocks:
+    bits = g.bit_generator
+    k = math.ceil(prob * 2.0**53)
+    for sl in row_blocks(rows, width):
         block = out[sl]
-        u = buf[:len(block)]
-        g.random(out=u)
-        np.less(u, prob, out=block.view(np.bool_))
+        if k == 1 << 53:
+            bits.random_raw(block.size)
+            block.fill(1)
+        else:
+            np.less(bits.random_raw(block.shape), np.uint64(k << 11),
+                    out=block.view(np.bool_))
 
 
 def _check_probability(name, value):

@@ -75,9 +75,13 @@ class SimulationConfig:
 
     scaling selects the synaptic weight theta: 1/N in the mean-field regime,
     1/sqrt(N) in the critical one.  dt controls the recording grid only (the
-    event dynamics are exact); it defaults to horizon / 2048.  record_full
-    keeps the whole N x grid input matrix (needed for martingale extraction
-    and sup-norm statistics), record_mean_rate the vertex-averaged rate path.
+    event dynamics are exact); it defaults to horizon / 2048.  The grid
+    always ends exactly at the horizon, so a caller that reads only the
+    terminal input or the event counts can pass dt=horizon and record just
+    {0, T}, with the same spike trains and terminal values as any finer
+    grid.  record_full keeps the whole N x grid input matrix (needed for
+    martingale extraction and sup-norm statistics), record_mean_rate the
+    vertex-averaged rate path.
     """
 
     horizon: float
@@ -240,8 +244,9 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
 
     Each buffered event keeps its source's coefficient in cbuf, and target
     i's weights are gathered from row i of a contiguous transposed copy of
-    the adjacency: cbuf * adj_t[i, verts] holds the values of
-    net.signed_rows[verts, i] without the dense matrix.
+    the adjacency: cbuf * adj_t[i].take(verts) holds the values of
+    net.signed_rows[verts, i] without the dense matrix (take gathers the
+    same values as adj_t[i, verts], in less time).
     """
     padded = kernel.padded
     cut = kernel.truncation_lag()
@@ -282,8 +287,8 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
             vals = padded(g - ts[:m])
             vsl = verts[start:start + m]
             csl = cbuf[start:start + m]
-            tracked_paths[:, idx] = [float(np.dot(vals, csl * adj_t[v, vsl]))
-                                     for v in tracked]
+            tracked_paths[:, idx] = [
+                float(np.dot(vals, csl * adj_t[v].take(vsl))) for v in tracked]
             mean_input[idx] = float(np.dot(vals, row_mean[vsl]))
         next_idx = j
         next_t = float(grid[j]) if j < m1 else math.inf
@@ -297,7 +302,8 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
         if m == 0:
             return 0.0
         vals = padded(t - ts[:m])
-        return float(np.dot(vals, cbuf[lo:lo + m] * adj_t[i, verts[lo:lo + m]]))
+        weights = cbuf[lo:lo + m] * adj_t[i].take(verts[lo:lo + m])
+        return float(np.dot(vals, weights))
 
     def fire(t, i):
         nonlocal times, verts, cbuf, count

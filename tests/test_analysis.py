@@ -114,6 +114,33 @@ def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
                            seed=1, backend="bogus", **kwargs)
 
 
+def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
+    # they read the terminal input or the counts; the others read paths
+    grids = []
+    for key, simulate in dict(analysis._BACKENDS).items():
+        def spy(net, kernel, transfer, cfg, simulate=simulate):
+            res = simulate(net, kernel, transfer, cfg)
+            grids.append(res.grid)
+            return res
+        monkeypatch.setitem(analysis._BACKENDS, key, spy)
+    calls = [
+        ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3), 2049),
+        ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64), 2),
+        ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8), 2049),
+        ("critical", dict(n=20, replicates=5), 2049),
+        ("critical", dict(n=16, replicates=6, complementary=True), 2049),
+        ("independence", dict(sizes=[24], p=0.8, q=0.5, replicates=10,
+                              m_vertices=3), 2),
+    ]
+    for name, kwargs, points in calls:
+        grids.clear()
+        rep = run_experiment(name, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                             seed=1, **kwargs)
+        assert grids and {len(g) for g in grids} == {points}, name
+        assert all(g[-1] == 1.0 for g in grids), name
+        assert rep.params["dt"] is None, name
+
+
 def test_linearization_needs_curvature_bound():
     nodes = np.linspace(-5.0, 5.0, 201)
     smooth = tabulated_transfer(nodes, 1.0 + 0.1 * np.tanh(nodes),

@@ -6,6 +6,7 @@ import pytest
 from hawkes_meanfield.errors import ContractError, ParameterError
 from hawkes_meanfield.network import (
     NetworkConfiguration,
+    _draw_bernoulli,
     build_complementary_network,
     compute_weight_statistics,
     row_blocks,
@@ -15,6 +16,10 @@ from hawkes_meanfield.rng import NETWORK, stream
 
 # one row block, one partial block, several blocks with a partial last one
 DRAW_SIZES = (1, 300, 1100)
+# edge probabilities around the raw-word threshold: none, below the 2**-53
+# spacing of the doubles, more than 53 binary digits (0.3, 0.8), an exact
+# half, the largest double below one, and one (threshold 2**64)
+EDGE_QS = (0.0, 2.0**-60, 0.3, 0.5, 0.8, 1.0 - 2.0**-53, 1.0)
 
 
 def test_same_seed_reproduces_matrices():
@@ -103,6 +108,34 @@ def test_row_blocked_draw_matches_one_shot_reference(n):
     net = sample_network(n, p, q, seed)
     np.testing.assert_array_equal(net.adjacency, adjacency)
     np.testing.assert_array_equal(net.signs, signs)
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("n", DRAW_SIZES)
+def test_raw_word_draw_matches_uniform_doubles(n, q):
+    p, seed = 0.6, 29
+    g = stream(seed, NETWORK)
+    adjacency = g.random((n, n)) < q
+    signs = np.where(g.random(n) < p, 1, -1).astype(np.int8)
+    net = sample_network(n, p, q, seed)
+    np.testing.assert_array_equal(net.adjacency, adjacency)
+    np.testing.assert_array_equal(net.signs, signs)
+    drawn, ref = stream(seed, NETWORK), stream(seed, NETWORK)
+    _draw_bernoulli(drawn, np.empty((n, n), dtype=np.uint8), q)
+    ref.random((n, n))
+    assert drawn.random() == ref.random(), "the stream moved differently"
+
+
+@pytest.mark.parametrize("q", EDGE_QS)
+@pytest.mark.parametrize("n", (3, 1100))
+def test_raw_word_draw_into_a_strided_view(n, q):
+    # build_complementary_network draws its columns 2.. through such a view
+    drawn, ref = stream(31, NETWORK), stream(31, NETWORK)
+    out = np.full((n, n), 7, dtype=np.uint8)
+    _draw_bernoulli(drawn, out[:, 2:], q)
+    assert (out[:, :2] == 7).all()
+    np.testing.assert_array_equal(out[:, 2:], ref.random((n, n - 2)) < q)
+    assert drawn.random() == ref.random(), "the stream moved differently"
 
 
 @pytest.mark.parametrize("n", (2, 4, 300, 1100))

@@ -189,6 +189,27 @@ def test_general_kernel_history_mode_matches_oracle(backend):
     assert float(np.max(np.abs(res.tracked_input - oracle))) < 1e-9
 
 
+@pytest.mark.parametrize("kernel", [
+    EXP, tabulated_kernel([0.0, 1.0, 2.0], [1.0, 0.4, 0.0])],
+    ids=["exponential", "tabulated"])
+@pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
+def test_two_point_grid_keeps_trains_and_terminal_input(backend, kernel):
+    # clt and independence simulate with dt=horizon: the grid is {0, T}
+    net = sample_network(30, 0.8, 0.5, seed=33)
+    full, ends = (backend(net, kernel, ARCTAN, SimulationConfig(
+        horizon=3.0, seed=33, dt=dt, tracked_vertices=(0, 5)))
+        for dt in (None, 3.0))
+    assert len(full.grid) == 2049
+    np.testing.assert_array_equal(ends.grid, [0.0, 3.0])
+    assert full.trains.total_events > 0
+    for a, b in zip(full.trains.times, ends.trains.times, strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(full.mean_input[-1], ends.mean_input[-1])
+    np.testing.assert_array_equal(full.tracked_input[:, -1],
+                                  ends.tracked_input[:, -1])
+    assert full.diagnostics == ends.diagnostics
+
+
 def test_general_kernel_refuses_dense_recording():
     tab = tabulated_kernel([0.0, 1.0], [1.0, 0.0])
     net = sample_network(5, 0.8, 0.5, seed=2)
