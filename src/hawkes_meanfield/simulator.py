@@ -16,7 +16,8 @@ one loop, whatever the kernel.
 The loops read the input S through three closures built by _setup:
 at(t, i) returns S_i(t-); fire(t, i) records every pending grid point
 g <= t and then adds vertex i's event at t; close(horizon) records the rest
-of the grid and returns (tracked_input, mean_input, mean_rate, full_input).
+of the grid and returns (tracked_input, mean_input, mean_rate, full_input,
+input_range).
 Recording before the event's jump makes every recorded value a left limit:
 a grid point that coincides with an event time gets the pre-jump input.
 
@@ -80,8 +81,16 @@ class SimulationConfig:
     terminal input or the event counts can pass dt=horizon and record just
     {0, T}, with the same spike trains and terminal values as any finer
     grid.  record_full keeps the whole N x grid input matrix (needed for
-    martingale extraction and sup-norm statistics), record_mean_rate the
-    vertex-averaged rate path.
+    martingale extraction), record_mean_rate the vertex-averaged rate path.
+
+    record_range keeps only the smallest and largest vertex input at each
+    grid time, one (2, len(grid)) array in SimulationResult.input_range.
+    That is all a sup-norm statistic needs: every recorded input is the
+    undecayed state times one positive factor per grid time, and correctly
+    rounded multiplication and subtraction are monotone, so
+    max_i |S_i(g) - c| = max(|min_i S_i(g) - c|, |max_i S_i(g) - c|) bit for
+    bit, without the 8 N bytes per grid time of record_full.  All three
+    need the exponential kernel.
     """
 
     horizon: float
@@ -91,6 +100,7 @@ class SimulationConfig:
     tracked_vertices: tuple = (0,)
     record_full: bool = False
     record_mean_rate: bool = False
+    record_range: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.horizon < math.inf:
@@ -155,6 +165,7 @@ class SimulationResult:
     mean_input: np.ndarray               # (len(grid),)
     mean_rate: np.ndarray | None = None  # (len(grid),) if recorded
     full_input: np.ndarray | None = None  # (n, len(grid)) if recorded
+    input_range: np.ndarray | None = None  # (2, len(grid)): min, max over i
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -166,8 +177,11 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     stores the undecayed state with its sync time, and close multiplies every
     recorded column by exp(-rate * (g - sync)) once.  mean_rate is the
     exception: h is not linear, so it is taken from the decayed state at the
-    crossing.  The closures keep their state in local cells, not attributes:
-    at and fire run once per candidate and per event.
+    crossing.  The input range is stored as the undecayed state's min and
+    max: a positive factor keeps their order, so decaying them at close gives
+    the extremes of the decayed column.  The closures keep their state in
+    local cells, not attributes: at and fire run once per candidate and per
+    event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -188,6 +202,7 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
     full = np.zeros((n, m1)) if cfg.record_full else None
+    extremes = np.zeros((2, m1)) if cfg.record_range else None
     sync = np.zeros(m1)
     next_idx = 0
     next_t = grid_list[0]
@@ -202,6 +217,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         sync[a:j] = t_sync
         if full is not None:
             full[:, a:j] = state[:, None]
+        if extremes is not None:
+            extremes[0, a:j] = state.min()
+            extremes[1, a:j] = state.max()
         if mean_rate is not None:
             decays = np.exp(-lam * (grid[a:j] - t_sync))
             mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
@@ -222,14 +240,16 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         t_sync = t
 
     def close(horizon):
-        nonlocal tracked_paths, mean_input, full
+        nonlocal tracked_paths, mean_input, full, extremes
         record(horizon)
         decays = np.exp(-lam * (grid - sync))
         tracked_paths *= decays
         mean_input *= decays
         if full is not None:
             full *= decays
-        return tracked_paths, mean_input, mean_rate, full
+        if extremes is not None:
+            extremes *= decays
+        return tracked_paths, mean_input, mean_rate, full, extremes
 
     return at, fire, close
 
@@ -320,7 +340,7 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
 
     def close(horizon):
         record(horizon)
-        return tracked_paths, mean_input, None, None
+        return tracked_paths, mean_input, None, None, None
 
     return at, fire, close
 
@@ -330,7 +350,8 @@ def _setup(net, kernel, transfer, cfg):
 
     at(t, i) is S_i(t-); fire(t, i) records the grid points up to t and then
     adds vertex i's event at t; close(horizon) records the rest of the grid
-    and returns (tracked_input, mean_input, mean_rate, full_input).
+    and returns (tracked_input, mean_input, mean_rate, full_input,
+    input_range).
     """
     if not isinstance(net, NetworkConfiguration):
         raise ContractError("net must be a NetworkConfiguration")
@@ -339,10 +360,11 @@ def _setup(net, kernel, transfer, cfg):
     for v in cfg.tracked_vertices:
         if not (0 <= v < net.n):
             raise ParameterError(f"tracked vertex {v} outside 0..{net.n - 1}")
-    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate):
+    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate
+                                      or cfg.record_range):
         raise SchemeMismatchError(
-            "record_full / record_mean_rate need the exponential-kernel fast "
-            "path; track specific vertices instead"
+            "record_full / record_mean_rate / record_range need the "
+            "exponential-kernel fast path; track specific vertices instead"
         )
     horizon = float(cfg.horizon)
     grid, _ = _resolve_grid(horizon, cfg.dt)
@@ -354,13 +376,13 @@ def _setup(net, kernel, transfer, cfg):
 
 def _finalize(net, transfer, horizon, grid, recorded, trains, candidates,
               events, ties_nudged):
-    tracked_input, mean_input, mean_rate, full_input = recorded
+    tracked_input, mean_input, mean_rate, full_input, input_range = recorded
     times = tuple(np.asarray(t, dtype=np.float64) for t in trains)
     return SimulationResult(
         net=net, transfer=transfer,
         trains=SpikeTrains(times=times, horizon=horizon),
         grid=grid, tracked_input=tracked_input, mean_input=mean_input,
-        mean_rate=mean_rate, full_input=full_input,
+        mean_rate=mean_rate, full_input=full_input, input_range=input_range,
         diagnostics={"candidates": candidates, "events": events,
                      "ties_nudged": ties_nudged},
     )

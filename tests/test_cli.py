@@ -265,6 +265,25 @@ def test_clt_config_with_tabulated_transfer_is_refused(tmp_path, capsys):
     assert not (tmp_path / "v" / "report.json").exists()
 
 
+def test_lln_config_with_tabulated_kernel_is_refused_up_front(
+        tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the mean-field path was solved")
+
+    monkeypatch.setattr(analysis, "solve_mean_field", unreachable)
+    doc = _doc(experiment="lln", model=dict(
+        _doc()["model"], n=[15, 30],
+        kernel={"tabulated": {"nodes": [0.0, 1.0, 2.0],
+                              "values": [1.0, 0.5, 0.0]}}))
+    doc["run"]["replicates"] = 3
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "runs" / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "tabulated kernel" in err and "record_full" not in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
 def test_verify_writes_consistent_artifacts(tmp_path, capsys):
     doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 60]))
     doc["run"].update(horizon=1.5, replicates=3, seed=101)

@@ -2,7 +2,8 @@
 
 The network stores one byte per ordered pair (n^2 bytes).  Drawing it and
 running either event loop must not add a float64 (n, n) block (8 n^2 bytes)
-on top, so each traced peak stays below 2 n^2 bytes at n = 2000.
+on top, so each traced peak stays below 2 n^2 bytes at n = 2000.  So does a
+whole lln experiment, which records no (n, grid) input matrix.
 
 An experiment holds one replicate at a time: its peak stays within 5% of the
 peak of a single replicate (network, simulation, martingale extraction).
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from hawkes_meanfield.analysis import (corollary_experiment,
-                                       critical_experiment)
+                                       critical_experiment, lln_experiment)
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                       tabulated_kernel)
 from hawkes_meanfield.network import build_complementary_network, sample_network
@@ -58,6 +59,16 @@ def test_simulation_peak_below_two_bytes_per_pair(backend, kernel):
     peak = _traced_peak(BACKENDS[backend], net, KERNELS[kernel],
                         arctan_transfer(), cfg)
     assert peak < BOUND, f"{backend}/{kernel}: peak {peak} B >= 2 n^2 = {BOUND} B"
+
+
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
+def test_lln_experiment_peak_below_two_bytes_per_pair(backend):
+    # lln keeps two extremes per grid time, not the (n, grid) input matrix
+    peak = _traced_peak(lambda: lln_experiment(
+        sizes=[200, N], p=0.8, q=0.5, kernel=KERNELS["exponential"],
+        transfer=arctan_transfer(), horizon=0.1, replicates=3, seed=7,
+        backend=backend))
+    assert peak < BOUND, f"lln/{backend}: peak {peak} B >= 2 n^2 = {BOUND} B"
 
 
 def _one_replicate(n, p, horizon, scaling, vertices):
