@@ -21,7 +21,7 @@ def main():
             rs = replicate_seed(123, r + 1000 * n)
             net = sample_network(n, p, q, seed=rs)
             cfg = SimulationConfig(horizon=horizon, seed=rs,
-                                   tracked_vertices=(), record_range=True)
+                                   tracked_vertices=())
             res = simulate_thinning(net, kernel, h, cfg)
             # the vertex farthest from I is the lowest or the highest one
             errs.append(np.max(np.abs(res.input_range - mean_path.values)))

@@ -189,6 +189,17 @@ def _backend(backend):
         ) from None
 
 
+def _require_exponential(name, kernel):
+    """Refuse, before any compute, an experiment that reads every vertex's
+    recorded input: the simulator records it for the exponential kernel
+    only."""
+    if not kernel.is_exponential:
+        raise SchemeMismatchError(
+            f"{name} reads every vertex's recorded input, which needs the "
+            f"exponential kernel; got a {kernel.kind} kernel"
+        )
+
+
 def _replicates(run, reduce, *, sizes, replicates, seed, kernel, transfer,
                 horizon, dt, p, q, net=None, **record):
     """[[reduce(n, net, result) for each replicate] for each size].
@@ -248,7 +259,7 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
 
     For each network size runs `replicates` fresh networks and measures
     E_N = max over vertices and grid times of |S_i(t) - I(t)|, read exactly
-    from the smallest and largest S_i(t) at each grid time (record_range;
+    from the smallest and largest S_i(t) at each grid time (input_range;
     exponential kernel only, refused up front otherwise).  The medians
     must decrease strictly in N and the first/last ratio must sit in the
     configured band (defaults assume a 16x size span, where the expected
@@ -264,11 +275,7 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
         )
     if replicates < 3:
         raise ParameterError("need at least 3 replicates")
-    if not kernel.is_exponential:
-        raise SchemeMismatchError(
-            f"lln records every vertex's input range, which needs the "
-            f"exponential kernel; got a {kernel.kind} kernel"
-        )
+    _require_exponential("lln", kernel)
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -281,7 +288,7 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
     runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
                        seed=seed, kernel=kernel, transfer=transfer,
                        horizon=horizon, dt=dt, p=p, q=q,
-                       tracked_vertices=(), record_range=True)
+                       tracked_vertices=())
     sup_errors = {}
     events_mean = {}
     for n, reps in zip(sizes, runs):
@@ -456,6 +463,7 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
             "the linearization check needs a curvature bound "
             "(transfer.second_deriv_sup)"
         )
+    _require_exponential("corollary", kernel)
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -611,6 +619,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         raise WrongRegimeError("the complementary construction fixes q = 1/2")
     if not (0.0 < q < 1.0):
         raise WrongRegimeError("critical bracket structure needs 0 < q < 1")
+    _require_exponential("critical", kernel)
     run = _backend(backend)
     tol = _tol(tolerances)
     p = 0.5

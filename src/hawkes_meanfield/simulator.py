@@ -81,16 +81,16 @@ class SimulationConfig:
     terminal input or the event counts can pass dt=horizon and record just
     {0, T}, with the same spike trains and terminal values as any finer
     grid.  record_full keeps the whole N x grid input matrix (needed for
-    martingale extraction), record_mean_rate the vertex-averaged rate path.
+    martingale extraction), record_mean_rate the vertex-averaged rate path;
+    both need the exponential kernel.
 
-    record_range keeps only the smallest and largest vertex input at each
-    grid time, one (2, len(grid)) array in SimulationResult.input_range.
-    That is all a sup-norm statistic needs: every recorded input is the
+    Sup-norm statistics need neither: with the exponential kernel every
+    result carries input_range, the smallest and largest vertex input at
+    each grid time in one (2, len(grid)) array.  Every recorded input is the
     undecayed state times one positive factor per grid time, and correctly
     rounded multiplication and subtraction are monotone, so
     max_i |S_i(g) - c| = max(|min_i S_i(g) - c|, |max_i S_i(g) - c|) bit for
-    bit, without the 8 N bytes per grid time of record_full.  All three
-    need the exponential kernel.
+    bit, without the 8 N bytes per grid time of record_full.
     """
 
     horizon: float
@@ -100,7 +100,6 @@ class SimulationConfig:
     tracked_vertices: tuple = (0,)
     record_full: bool = False
     record_mean_rate: bool = False
-    record_range: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.horizon < math.inf:
@@ -165,7 +164,7 @@ class SimulationResult:
     mean_input: np.ndarray               # (len(grid),)
     mean_rate: np.ndarray | None = None  # (len(grid),) if recorded
     full_input: np.ndarray | None = None  # (n, len(grid)) if recorded
-    input_range: np.ndarray | None = None  # (2, len(grid)): min, max over i
+    input_range: np.ndarray | None = None  # (2, len(grid)) if exponential
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -202,7 +201,7 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
     full = np.zeros((n, m1)) if cfg.record_full else None
-    extremes = np.zeros((2, m1)) if cfg.record_range else None
+    extremes = np.zeros((2, m1))
     sync = np.zeros(m1)
     next_idx = 0
     next_t = grid_list[0]
@@ -217,9 +216,8 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         sync[a:j] = t_sync
         if full is not None:
             full[:, a:j] = state[:, None]
-        if extremes is not None:
-            extremes[0, a:j] = state.min()
-            extremes[1, a:j] = state.max()
+        extremes[0, a:j] = state.min()
+        extremes[1, a:j] = state.max()
         if mean_rate is not None:
             decays = np.exp(-lam * (grid[a:j] - t_sync))
             mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
@@ -245,10 +243,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         decays = np.exp(-lam * (grid - sync))
         tracked_paths *= decays
         mean_input *= decays
+        extremes *= decays
         if full is not None:
             full *= decays
-        if extremes is not None:
-            extremes *= decays
         return tracked_paths, mean_input, mean_rate, full, extremes
 
     return at, fire, close
@@ -360,11 +357,10 @@ def _setup(net, kernel, transfer, cfg):
     for v in cfg.tracked_vertices:
         if not (0 <= v < net.n):
             raise ParameterError(f"tracked vertex {v} outside 0..{net.n - 1}")
-    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate
-                                      or cfg.record_range):
+    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate):
         raise SchemeMismatchError(
-            "record_full / record_mean_rate / record_range need the "
-            "exponential-kernel fast path; track specific vertices instead"
+            f"record_full / record_mean_rate need the exponential-kernel fast "
+            f"path, not a {kernel.kind} kernel; track specific vertices instead"
         )
     horizon = float(cfg.horizon)
     grid, _ = _resolve_grid(horizon, cfg.dt)

@@ -265,21 +265,34 @@ def test_clt_config_with_tabulated_transfer_is_refused(tmp_path, capsys):
     assert not (tmp_path / "v" / "report.json").exists()
 
 
-def test_lln_config_with_tabulated_kernel_is_refused_up_front(
-        tmp_path, capsys, monkeypatch):
-    def unreachable(*args, **kwargs):
-        raise AssertionError("the mean-field path was solved")
+_TABULATED = {"tabulated": {"nodes": [0.0, 1.0, 2.0],
+                            "values": [1.0, 0.5, 0.0]}}
 
-    monkeypatch.setattr(analysis, "solve_mean_field", unreachable)
-    doc = _doc(experiment="lln", model=dict(
-        _doc()["model"], n=[15, 30],
-        kernel={"tabulated": {"nodes": [0.0, 1.0, 2.0],
-                              "values": [1.0, 0.5, 0.0]}}))
-    doc["run"]["replicates"] = 3
+
+@pytest.mark.parametrize("experiment, model, run, options", [
+    ("lln", {"n": [15, 30]}, {"replicates": 3}, None),
+    ("corollary", {"n": [15, 30]}, {"replicates": 8}, None),
+    ("critical", {"n": 16, "p": 0.5, "scaling": "critical"},
+     {"replicates": 5}, {"complementary": True}),
+])
+def test_config_with_tabulated_kernel_is_refused_up_front(
+        experiment, model, run, options, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compute started before the kernel check")
+
+    for name in ("solve_mean_field", "sample_network",
+                 "build_complementary_network"):
+        monkeypatch.setattr(analysis, name, unreachable)
+    doc = _doc(experiment=experiment,
+               model=dict(_doc()["model"], kernel=_TABULATED, **model))
+    doc["run"].update(run)
+    if options is not None:
+        doc["options"] = options
     assert main(["verify", "--config", _write(tmp_path, doc),
                  "--out", str(tmp_path / "runs" / "out")]) == 2
     err = capsys.readouterr().err
-    assert "tabulated kernel" in err and "record_full" not in err
+    assert f"{experiment} reads" in err and "tabulated kernel" in err
+    assert "record_full" not in err
     assert len(err.splitlines()) == 1
     assert not (tmp_path / "runs").exists()
 

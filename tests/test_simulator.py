@@ -217,38 +217,34 @@ def test_input_range_is_the_extremes_of_the_full_input(backend, seed,
                                                        horizon):
     # dt = 0.0137 does not divide the horizon: the last step is a short one
     net = sample_network(60, 0.8, 0.5, seed=seed)
-    plain, ranged, full = (backend(net, EXP, ARCTAN, SimulationConfig(
+    plain, full = (backend(net, EXP, ARCTAN, SimulationConfig(
         horizon=horizon, seed=seed, dt=0.0137, tracked_vertices=(0, 5),
-        **flags)) for flags in ({}, {"record_range": True},
-                                {"record_range": True, "record_full": True}))
-    assert plain.input_range is None
-    assert ranged.full_input is None
-    assert ranged.input_range.shape == (2, len(ranged.grid))
-    np.testing.assert_array_equal(ranged.input_range, full.input_range)
-    np.testing.assert_array_equal(ranged.input_range[0],
-                                  full.full_input.min(axis=0))
-    np.testing.assert_array_equal(ranged.input_range[1],
-                                  full.full_input.max(axis=0))
-    # recording the range changes nothing else
-    for a, b in zip(plain.trains.times, ranged.trains.times, strict=True):
+        record_full=record_full)) for record_full in (False, True))
+    assert plain.full_input is None
+    assert plain.input_range.shape == (2, len(plain.grid))
+    for a, b in zip(plain.trains.times, full.trains.times, strict=True):
         np.testing.assert_array_equal(a, b)
-    np.testing.assert_array_equal(plain.tracked_input, ranged.tracked_input)
-    np.testing.assert_array_equal(plain.mean_input, ranged.mean_input)
-    assert plain.diagnostics == ranged.diagnostics
-    lo, hi = ranged.input_range
+    np.testing.assert_array_equal(plain.input_range, full.input_range)
+    np.testing.assert_array_equal(plain.input_range[0],
+                                  full.full_input.min(axis=0))
+    np.testing.assert_array_equal(plain.input_range[1],
+                                  full.full_input.max(axis=0))
+    lo, hi = plain.input_range
     assert np.all(lo <= hi)
     if horizon > 0.0:
-        assert ranged.trains.total_events > 0 and np.any(lo < hi)
+        assert plain.trains.total_events > 0 and np.any(lo < hi)
 
 
 def test_general_kernel_refuses_dense_recording():
     tab = tabulated_kernel([0.0, 1.0], [1.0, 0.0])
     net = sample_network(5, 0.8, 0.5, seed=2)
-    for flag in ({"record_full": True}, {"record_mean_rate": True},
-                 {"record_range": True}):
+    for flag in ({"record_full": True}, {"record_mean_rate": True}):
         cfg = SimulationConfig(horizon=1.0, seed=2, **flag)
-        with pytest.raises(SchemeMismatchError):
+        with pytest.raises(SchemeMismatchError, match="tabulated kernel"):
             simulate_thinning(net, tab, ARCTAN, cfg)
+    res = simulate_thinning(net, tab, ARCTAN,
+                            SimulationConfig(horizon=1.0, seed=2))
+    assert res.input_range is None
 
 
 def test_compensator_of_constant_rate_is_linear():
