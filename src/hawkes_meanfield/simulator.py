@@ -178,9 +178,11 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     exception: h is not linear, so it is taken from the decayed state at the
     crossing.  The input range is stored as the undecayed state's min and
     max: a positive factor keeps their order, so decaying them at close gives
-    the extremes of the decayed column.  The closures keep their state in
-    local cells, not attributes: at and fire run once per candidate and per
-    event.
+    the extremes of the decayed column.  With record_full it is read from
+    the decayed matrix at close instead: the same values by the same order
+    argument, without two reductions per crossing (about 8% of the wall time
+    of a critical run at N = 500).  The closures keep their state in local
+    cells, not attributes: at and fire run once per candidate and per event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -201,7 +203,7 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
     full = np.zeros((n, m1)) if cfg.record_full else None
-    extremes = np.zeros((2, m1))
+    extremes = np.zeros((2, m1)) if full is None else None
     sync = np.zeros(m1)
     next_idx = 0
     next_t = grid_list[0]
@@ -216,8 +218,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         sync[a:j] = t_sync
         if full is not None:
             full[:, a:j] = state[:, None]
-        extremes[0, a:j] = state.min()
-        extremes[1, a:j] = state.max()
+        else:
+            extremes[0, a:j] = state.min()
+            extremes[1, a:j] = state.max()
         if mean_rate is not None:
             decays = np.exp(-lam * (grid[a:j] - t_sync))
             mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
@@ -243,9 +246,11 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         decays = np.exp(-lam * (grid - sync))
         tracked_paths *= decays
         mean_input *= decays
-        extremes *= decays
         if full is not None:
             full *= decays
+            extremes = np.stack((full.min(axis=0), full.max(axis=0)))
+        else:
+            extremes *= decays
         return tracked_paths, mean_input, mean_rate, full, extremes
 
     return at, fire, close
