@@ -24,6 +24,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ContractError,
+    DerivativeUnavailableError,
     ParameterError,
     SchemeMismatchError,
     UnsupportedTransferError,
@@ -189,15 +190,37 @@ def _backend(backend):
         ) from None
 
 
+def _need(ok, error, keyword, message):
+    """Unless ok, raise error(message) tagged with the refused keyword."""
+    if not ok:
+        exc = error(message)
+        exc.keyword = keyword
+        raise exc
+
+
+def _require_replicates(replicates, least):
+    _need(replicates >= least, ParameterError, "replicates",
+          f"need at least {least} replicates")
+
+
+def _require_sizes(sizes, least):
+    _need(len(sizes) >= least and all(s >= 1 for s in sizes)
+          and sorted(sizes) == list(sizes), ParameterError, "sizes",
+          f"sizes must be an increasing list of >= {least} sizes")
+
+
+def _require_mean_field(name, p):
+    _need(p != 0.5, WrongRegimeError, "p",
+          f"p = 1/2 collapses the mean-field drift; experiment {name!r} "
+          "needs p != 1/2 (use 'critical')")
+
+
 def _require_exponential(name, kernel):
-    """Refuse, before any compute, an experiment that reads every vertex's
-    recorded input: the simulator records it for the exponential kernel
-    only."""
-    if not kernel.is_exponential:
-        raise SchemeMismatchError(
-            f"{name} reads every vertex's recorded input, which needs the "
-            f"exponential kernel; got a {kernel.kind} kernel"
-        )
+    """An experiment that reads every vertex's recorded input needs the
+    exponential kernel: the simulator records it for no other."""
+    _need(kernel.is_exponential, SchemeMismatchError, "kernel",
+          f"{name} reads every vertex's recorded input, which needs the "
+          f"exponential kernel; got a {kernel.kind} kernel")
 
 
 def _replicates(run, reduce, *, sizes, replicates, seed, kernel, transfer,
@@ -252,6 +275,13 @@ def _downsample_stride(grid, target=256):
 # law of large numbers
 # ----------------------------------------------------------------------
 
+def _lln_contract(*, sizes, p, replicates, kernel, **_):
+    _require_sizes(sizes, 2)
+    _require_mean_field("lln", p)
+    _require_replicates(replicates, 3)
+    _require_exponential("lln", kernel)
+
+
 def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
                    seed, backend="thinning", dt=None, tolerances=None
                    ) -> ExperimentReport:
@@ -265,17 +295,8 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
     configured band (defaults assume a 16x size span, where the expected
     decay N^{-1/2} adjusted for the growing vertex maximum gives about 3).
     """
+    _lln_contract(sizes=sizes, p=p, replicates=replicates, kernel=kernel)
     sizes = [int(n) for n in sizes]
-    if len(sizes) < 2 or any(s < 1 for s in sizes) or sorted(sizes) != sizes:
-        raise ParameterError("sizes must be an increasing list of >= 2 sizes")
-    if p == 0.5:
-        raise WrongRegimeError(
-            "p = 1/2 collapses the mean-field drift; the uniform-convergence "
-            "experiment needs the mean-field regime (use critical_experiment)"
-        )
-    if replicates < 3:
-        raise ParameterError("need at least 3 replicates")
-    _require_exponential("lln", kernel)
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -329,6 +350,18 @@ def lln_verdicts(tables, tolerances):
 # central limit theorem
 # ----------------------------------------------------------------------
 
+def _clt_contract(*, n, p, transfer, replicates, limit_samples, n_tracked,
+                  **_):
+    _need(2 <= n_tracked <= n, ParameterError, "n_tracked",
+          f"n_tracked must be >= 2 (a covariance pair) and <= n = {n}")
+    _require_replicates(replicates, 8)
+    _need(limit_samples >= 8, ParameterError, "limit_samples",
+          "need at least 8 limit samples")
+    _require_mean_field("clt", p)
+    _need(transfer.has_derivative, DerivativeUnavailableError, "transfer",
+          "clt needs h', which this transfer does not carry")
+
+
 def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
                    limit_samples, seed, n_tracked=2, backend="thinning",
                    dt=None, tolerances=None) -> ExperimentReport:
@@ -349,10 +382,8 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     the values equal those of the full grid bit for bit.  dt sets the grid
     of the mean-field solve and of terminal_covariance.
     """
-    if n_tracked < 2:
-        raise ParameterError("n_tracked must be >= 2 (a covariance pair)")
-    if replicates < 8 or limit_samples < 8:
-        raise ParameterError("need at least 8 replicates and limit samples")
+    _clt_contract(n=n, p=p, transfer=transfer, replicates=replicates,
+                  limit_samples=limit_samples, n_tracked=n_tracked)
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -440,6 +471,16 @@ def clt_verdicts(tables, tolerances):
 # corollary statistics (population averages of compensated counts)
 # ----------------------------------------------------------------------
 
+def _corollary_contract(*, sizes, p, kernel, transfer, replicates, **_):
+    _require_sizes(sizes, 2)
+    _require_mean_field("corollary", p)
+    _require_replicates(replicates, 8)
+    _need(transfer.second_deriv_sup is not None, UnsupportedTransferError,
+          "transfer", "the linearization check needs a curvature bound "
+          "(transfer.second_deriv_sup)")
+    _require_exponential("corollary", kernel)
+
+
 def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
                          replicates, seed, backend="thinning", dt=None,
                          tolerances=None) -> ExperimentReport:
@@ -453,17 +494,9 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
     is checked against the rigorous curvature bound, and the correlation
     between the signed and unsigned statistics is compared with 2p - 1.
     """
+    _corollary_contract(sizes=sizes, p=p, kernel=kernel, transfer=transfer,
+                        replicates=replicates)
     sizes = [int(n) for n in sizes]
-    if len(sizes) < 2 or sorted(sizes) != sizes:
-        raise ParameterError("sizes must be an increasing list of >= 2 sizes")
-    if replicates < 8:
-        raise ParameterError("need at least 8 replicates")
-    if transfer.second_deriv_sup is None:
-        raise UnsupportedTransferError(
-            "the linearization check needs a curvature bound "
-            "(transfer.second_deriv_sup)"
-        )
-    _require_exponential("corollary", kernel)
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -596,6 +629,19 @@ _CRITICAL_SERIES = (
 )
 
 
+def _critical_contract(*, n, q, kernel, replicates, complementary, **_):
+    _need(n >= 2, ParameterError, "n",
+          f"critical tracks vertices 0 and 1, so it needs n >= 2, got {n}")
+    _need(not complementary or n % 2 == 0, ParameterError, "n",
+          f"complementary construction needs even n >= 2, got {n}")
+    _require_replicates(replicates, 5)
+    _need(not complementary or q == 0.5, WrongRegimeError, "q",
+          "the complementary construction fixes q = 1/2")
+    _need(0.0 < q < 1.0, WrongRegimeError, "q",
+          "critical bracket structure needs 0 < q < 1")
+    _require_exponential("critical", kernel)
+
+
 def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
                         seed, backend="thinning", complementary=False,
                         net_seed=None, dt=None, tolerances=None
@@ -613,13 +659,8 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
     test) and the two drift paths must separate beyond the pooled-SE band
     somewhere on the grid.
     """
-    if replicates < 5:
-        raise ParameterError("need at least 5 replicates")
-    if complementary and q != 0.5:
-        raise WrongRegimeError("the complementary construction fixes q = 1/2")
-    if not (0.0 < q < 1.0):
-        raise WrongRegimeError("critical bracket structure needs 0 < q < 1")
-    _require_exponential("critical", kernel)
+    _critical_contract(n=n, q=q, kernel=kernel, replicates=replicates,
+                       complementary=complementary)
     run = _backend(backend)
     tol = _tol(tolerances)
     p = 0.5
@@ -770,6 +811,14 @@ def critical_verdicts(tables, tolerances):
 # asymptotic independence
 # ----------------------------------------------------------------------
 
+def _independence_contract(*, sizes, p, replicates, m_vertices, **_):
+    _require_sizes(sizes, 1)
+    _require_mean_field("independence", p)
+    _need(2 <= m_vertices <= min(sizes), ParameterError, "m_vertices",
+          "m_vertices must be >= 2 and <= every size")
+    _require_replicates(replicates, 10)
+
+
 def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
                             replicates, seed, m_vertices=2,
                             backend="thinning", dt=None, tolerances=None
@@ -786,13 +835,9 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     dt=horizon and records just the grid points {0, T}; dt sets the grid
     of the mean-field solve behind the Poisson mean.
     """
+    _independence_contract(sizes=sizes, p=p, replicates=replicates,
+                           m_vertices=m_vertices)
     sizes = [int(x) for x in sizes]
-    if sorted(sizes) != sizes or len(sizes) < 1:
-        raise ParameterError("sizes must be increasing and non-empty")
-    if m_vertices < 2 or m_vertices > min(sizes):
-        raise ParameterError("m_vertices must be >= 2 and <= every size")
-    if replicates < 10:
-        raise ParameterError("need at least 10 replicates")
     run = _backend(backend)
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
@@ -881,13 +926,17 @@ def independence_verdicts(tables, tolerances):
     return checks
 
 
-# name -> (experiment, verdicts); config and cli take their names from here
+# name -> (experiment, verdicts, contract); config and cli read names here.
+# The experiment runs its contract before any compute; config validation
+# runs it too, on the keyword arguments a config builds.
 _EXPERIMENTS = {
-    "lln": (lln_experiment, lln_verdicts),
-    "clt": (clt_experiment, clt_verdicts),
-    "corollary": (corollary_experiment, corollary_verdicts),
-    "critical": (critical_experiment, critical_verdicts),
-    "independence": (independence_experiment, independence_verdicts),
+    "lln": (lln_experiment, lln_verdicts, _lln_contract),
+    "clt": (clt_experiment, clt_verdicts, _clt_contract),
+    "corollary": (corollary_experiment, corollary_verdicts,
+                  _corollary_contract),
+    "critical": (critical_experiment, critical_verdicts, _critical_contract),
+    "independence": (independence_experiment, independence_verdicts,
+                     _independence_contract),
 }
 
 

@@ -86,18 +86,15 @@ def _load_cfg(args, experiment_flag=None):
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
         raw = dict(raw, experiment=experiment_flag)
-    cfg = validate_config(raw)
-    # command line overrides, re-validated so the regime checks still hold
-    doc = cfg.resolved()
-    if getattr(args, "seed", None) is not None:
-        doc["run"]["seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        doc["run"]["replicates"] = args.replicates
-    if getattr(args, "backend", None) is not None:
-        doc["run"]["backend"] = args.backend
-    if getattr(args, "out", None) is not None:
-        doc["output"] = {"directory": args.out}
-    return validate_config(doc)
+    # command line overrides go in before validation, so the experiment's
+    # contract judges the values that will run
+    run = {key: getattr(args, key) for key in ("seed", "replicates", "backend")
+           if getattr(args, key, None) is not None}
+    if run and isinstance(raw, dict) and isinstance(raw.get("run"), dict):
+        raw = dict(raw, run=dict(raw["run"], **run))
+    if getattr(args, "out", None) is not None and isinstance(raw, dict):
+        raw = dict(raw, output={"directory": args.out})
+    return validate_config(raw)
 
 
 def _make_dir(path, made):

@@ -62,11 +62,27 @@ def test_parameter_guards():
         independence_experiment(sizes=[24], p=0.8, q=0.5, kernel=EXP,
                                 transfer=ARCTAN, horizon=1.0, replicates=9,
                                 seed=1, m_vertices=3)
+    with pytest.raises(ParameterError):
+        clt_experiment(n=2, p=0.8, q=0.5, kernel=EXP, transfer=ARCTAN,
+                       horizon=1.0, replicates=8, limit_samples=64, seed=1,
+                       n_tracked=3)
+    for n, complementary in ((1, False), (3, True)):
+        with pytest.raises(ParameterError):
+            critical_experiment(n=n, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                                replicates=5, seed=1,
+                                complementary=complementary)
 
 
 def test_regime_guards():
     with pytest.raises(WrongRegimeError):
         _tiny_lln(p=0.5)
+    for name, kwargs in (
+            ("clt", dict(n=24, replicates=8, limit_samples=64)),
+            ("corollary", dict(sizes=[15, 30], replicates=8)),
+            ("independence", dict(sizes=[24], replicates=10))):
+        with pytest.raises(WrongRegimeError):
+            run_experiment(name, p=0.5, q=0.5, kernel=EXP, transfer=ARCTAN,
+                           horizon=1.0, seed=1, **kwargs)
     with pytest.raises(WrongRegimeError):
         critical_experiment(n=16, q=0.6, kernel=EXP, transfer=ARCTAN,
                             horizon=1.0, replicates=5, seed=1,
@@ -189,7 +205,7 @@ def test_reports_survive_json_and_reverdict():
 
 def test_each_experiment_is_judged_by_its_named_verdicts():
     # bench/run.py re-judges reports through analysis.<name>_verdicts
-    for name, (_, verdicts) in analysis._EXPERIMENTS.items():
+    for name, (_, verdicts, _) in analysis._EXPERIMENTS.items():
         assert verdicts is getattr(analysis, f"{name}_verdicts"), name
 
 

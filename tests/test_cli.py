@@ -44,7 +44,8 @@ def _write(tmp_path, doc, name="cfg.json"):
 
 def test_resolved_config_is_a_fixed_point():
     cfg = validate_config(_doc(experiment="lln",
-                               model=dict(_doc()["model"], n=[15, 60])))
+                               model=dict(_doc()["model"], n=[15, 60]),
+                               run=dict(_doc()["run"], replicates=3)))
     assert cfg.experiment == "lln"
     assert cfg.n == [15, 60]
     again = validate_config(cfg.resolved())
@@ -54,7 +55,8 @@ def test_resolved_config_is_a_fixed_point():
 
 
 def test_single_size_promoted_for_multi_size_experiments():
-    cfg = validate_config(_doc(experiment="lln"))
+    cfg = validate_config(_doc(experiment="independence",
+                               run=dict(_doc()["run"], replicates=10)))
     assert cfg.n == [25]
 
 
@@ -90,7 +92,8 @@ def test_regime_consistency_rules():
         validate_config(_doc(experiment="critical"))
     with pytest.raises(ConfigError, match="model.p"):
         validate_config(_doc(experiment="lln",
-                             model=dict(_doc()["model"], p=0.5)))
+                             model=dict(_doc()["model"], n=[15, 60], p=0.5),
+                             run=dict(_doc()["run"], replicates=3)))
     with pytest.raises(ConfigError, match="model.scaling"):
         validate_config(_doc(model=dict(_doc()["model"], scaling="critical")))
     with pytest.raises(ConfigError, match="model.n"):
@@ -100,7 +103,8 @@ def test_regime_consistency_rules():
         validate_config(_doc(experiment="lln", options={"m_vertices": 3}))
     crit = validate_config(_doc(
         experiment="critical",
-        model=dict(_doc()["model"], p=0.5, scaling="critical"),
+        model=dict(_doc()["model"], n=26, p=0.5, scaling="critical"),
+        run=dict(_doc()["run"], replicates=5),
         options={"complementary": True},
     ))
     assert crit.scaling == "critical"
@@ -119,6 +123,7 @@ def test_builders_and_kwargs():
     assert cfg.build_kernel().rate == 1.0
     assert cfg.build_transfer()(0.0) == 1.0
     clt = validate_config(_doc(experiment="clt",
+                               run=dict(_doc()["run"], replicates=8),
                                options={"limit_samples": 500}))
     kw = experiment_kwargs(clt)
     assert kw["n"] == 25 and kw["n_tracked"] == 2
@@ -126,7 +131,7 @@ def test_builders_and_kwargs():
     crit = validate_config(_doc(
         experiment="critical",
         model=dict(_doc()["model"], p=0.5, scaling="critical"),
-        run=dict(_doc()["run"], net_seed=7),
+        run=dict(_doc()["run"], replicates=5, net_seed=7),
     ))
     kw = experiment_kwargs(crit)
     assert kw["net_seed"] == 7 and kw["complementary"] is False
@@ -255,7 +260,8 @@ def test_fluctuations_tidy_csv(tmp_path):
 def test_clt_config_with_tabulated_transfer_is_refused(tmp_path, capsys):
     doc = _doc(experiment="clt", model=dict(
         _doc()["model"],
-        transfer={"tabulated": {"nodes": [-1.0, 1.0], "values": [0.5, 1.5]}}))
+        transfer={"tabulated": {"nodes": [-1.0, 1.0], "values": [0.5, 1.5]}}),
+        run=dict(_doc()["run"], replicates=8))
     with pytest.raises(ConfigError, match="model.transfer"):
         validate_config(doc)
     cfg = _write(tmp_path, doc)
@@ -407,7 +413,11 @@ def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
         argv = ["plot-data", str(report),
                 "--out", str(blocker / "sub" / "plotdata.csv")]
     else:
-        argv = [command, "--config", _write(tmp_path, _doc()),
+        doc = _doc()
+        if command == "verify":
+            doc["model"]["n"] = [15, 60]
+            doc["run"]["replicates"] = 3
+        argv = [command, "--config", _write(tmp_path, doc),
                 "--out", str(blocker / "sub")]
         if command == "verify":
             argv += ["--experiment", "lln"]
@@ -471,12 +481,82 @@ def test_unallocatable_runs_exit_two(tmp_path, capsys, command, section, key,
     assert not (tmp_path / "runs").exists()
 
 
-def test_verify_refused_after_making_out_removes_it(tmp_path, capsys):
-    # lln counts its replicates only after --out exists
-    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+_LLN = {"experiment": "lln", "n": [15, 30], "replicates": 3}
+_CLT = {"experiment": "clt", "replicates": 8}
+_COMPLEMENTARY = {"experiment": "critical", "n": 16, "p": 0.5,
+                  "scaling": "critical", "replicates": 5,
+                  "options": {"complementary": True}}
+_NO_DERIVATIVE = {"tabulated": {"nodes": [-1.0, 1.0], "values": [0.5, 1.5]}}
+
+
+@pytest.mark.parametrize("case, path", [
+    (dict(_LLN, replicates=2), "run.replicates"),
+    (dict(_LLN, n=[15]), "model.n"),
+    (dict(_LLN, p=0.5), "model.p"),
+    (dict(_CLT, options={"n_tracked": 1}), "options.n_tracked"),
+    (dict(_CLT, n=2, options={"n_tracked": 3}), "options.n_tracked"),
+    (dict(_CLT, transfer=_NO_DERIVATIVE), "model.transfer"),
+    ({"experiment": "corollary", "n": [15, 30], "replicates": 8,
+      "transfer": _NO_DERIVATIVE}, "model.transfer"),
+    (dict(_COMPLEMENTARY, q=0.3), "model.q"),
+    (dict(_COMPLEMENTARY, n=3), "model.n"),
+    (dict(_COMPLEMENTARY, n=1, options={}), "model.n"),
+    ({"experiment": "independence", "n": 3, "replicates": 10,
+      "options": {"m_vertices": 5}}, "options.m_vertices"),
+    (dict(_LLN, kernel=_TABULATED), "model.kernel"),
+], ids=["lln-replicates", "lln-one-size", "lln-balanced", "clt-one-tracked",
+        "clt-tracked-above-n", "clt-no-derivative", "corollary-no-curvature",
+        "complementary-q", "complementary-odd-n", "random-critical-n1",
+        "independence-m-above-n", "lln-tabulated-kernel"])
+def test_each_contract_rule_is_a_config_error_before_out(
+        case, path, tmp_path, capsys, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("compute started before the contract ran")
+
+    for name in ("solve_mean_field", "sample_network",
+                 "build_complementary_network"):
+        monkeypatch.setattr(analysis, name, unreachable)
+    case = dict(case)
+    doc = _doc(experiment=case.pop("experiment"))
+    doc["run"]["replicates"] = case.pop("replicates")
+    if "options" in case:
+        doc["options"] = case.pop("options")
+    doc["model"].update(case)
     assert main(["verify", "--config", _write(tmp_path, doc),
                  "--out", str(tmp_path / "runs" / "out")]) == 2
-    assert capsys.readouterr().err == "error: need at least 3 replicates\n"
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: ")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_command_line_overrides_are_judged_by_the_contract(tmp_path, capsys,
+                                                           monkeypatch):
+    def ran(name, **kwargs):
+        raise ParameterError(f"ran {name} with {kwargs['replicates']}")
+
+    monkeypatch.setattr(cli, "run_experiment", ran)
+    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+    cfg = _write(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["verify", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == \
+        "config error: run.replicates: need at least 3 replicates\n"
+    assert main(["verify", "--config", cfg, "--out", out,
+                 "--replicates", "3"]) == 2
+    assert capsys.readouterr().err == "error: ran lln with 3\n"
+
+
+def test_verify_refused_after_making_out_removes_it(tmp_path, capsys):
+    # the mean-field solve refuses a step that does not contract, and it
+    # runs only after --out exists
+    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 30]))
+    doc["run"].update(replicates=3, horizon=6.0, dt=6.0)
+    assert main(["verify", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "runs" / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: implicit step is not contracting: |2p-1| q Lip(h) ||phi|| "
+        "dt = 1.15 >= 1; reduce dt\n")
     assert not (tmp_path / "runs").exists()
 
 
