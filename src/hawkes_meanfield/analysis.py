@@ -629,7 +629,8 @@ _CRITICAL_SERIES = (
 )
 
 
-def _critical_contract(*, n, q, kernel, replicates, complementary, **_):
+def _critical_contract(*, n, q, kernel, replicates, complementary,
+                       net_seed=None, **_):
     _need(n >= 2, ParameterError, "n",
           f"critical tracks vertices 0 and 1, so it needs n >= 2, got {n}")
     _need(not complementary or n % 2 == 0, ParameterError, "n",
@@ -640,6 +641,9 @@ def _critical_contract(*, n, q, kernel, replicates, complementary, **_):
     _need(0.0 < q < 1.0, WrongRegimeError, "q",
           "critical bracket structure needs 0 < q < 1")
     _require_exponential("critical", kernel)
+    _need(net_seed is None or complementary, ParameterError, "net_seed",
+          "net_seed fixes the one complementary network; random mode draws "
+          "a fresh network per replicate")
 
 
 def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
@@ -660,7 +664,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
     somewhere on the grid.
     """
     _critical_contract(n=n, q=q, kernel=kernel, replicates=replicates,
-                       complementary=complementary)
+                       complementary=complementary, net_seed=net_seed)
     run = _backend(backend)
     tol = _tol(tolerances)
     p = 0.5
@@ -742,6 +746,20 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
                    complementary=complementary, dt=dt)
 
 
+def _sign_test_pvalue(k, n):
+    """P(Binomial(n, 1/2) >= k), the one-sided sign-test tail.
+
+    The regularized incomplete beta I_{1/2}(k, n - k + 1) is that tail; it
+    is the value scipy.stats.binomtest(k, n, 0.5, alternative="greater")
+    returns, bit for bit, without importing scipy.stats.
+    """
+    if k == 0:
+        return 1.0
+    from scipy.special import betainc
+
+    return float(betainc(k, n - k + 1, 0.5))
+
+
 def critical_verdicts(tables, tolerances):
     checks = []
     if tables["mode"] == "random":
@@ -764,12 +782,9 @@ def critical_verdicts(tables, tolerances):
         ))
         return checks
 
-    from scipy import stats as sps
-
     corr = np.asarray(tables["increment_correlations"])
     negative = int(np.sum(corr < 0.0))
-    pval = float(sps.binomtest(negative, len(corr), 0.5,
-                               alternative="greater").pvalue)
+    pval = _sign_test_pvalue(negative, len(corr))
     checks.append(make_check(
         "complementary-increments-negatively-correlated",
         pval <= tolerances["corr_alpha"],
@@ -872,15 +887,36 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
                    backend=backend, dt=dt)
 
 
+def _poisson_pmf(k, mu):
+    """Poisson(mu) probabilities of the integers k.
+
+    The expression scipy.stats.poisson.pmf evaluates, so the values agree
+    bit for bit, without importing scipy.stats.
+    """
+    from scipy.special import gammaln, xlogy
+
+    return np.exp(xlogy(k, mu) - gammaln(k + 1) - mu)
+
+
+def _chisquare(observed, expected):
+    """Pearson's statistic and its chi-square tail on len(observed) - 1 dof.
+
+    The operations of scipy.stats.chisquare on float64 arrays whose sums
+    agree, so (statistic, pvalue) agree bit for bit, without importing
+    scipy.stats.
+    """
+    from scipy.special import chdtrc
+
+    stat = np.sum((observed - expected) ** 2 / expected)
+    return float(stat), float(chdtrc(len(observed) - 1, stat))
+
+
 def _poisson_gof(samples, mu):
     """Chi-square of integer samples against Poisson(mu), bins merged to >= 5."""
-    from scipy import stats as sps
-
     samples = np.asarray(samples)
     total = len(samples)
     hi = int(max(samples.max(initial=0), mu) + 10 * math.sqrt(mu + 1.0)) + 1
-    support = np.arange(hi + 1)
-    pmf = sps.poisson.pmf(support, mu)
+    pmf = _poisson_pmf(np.arange(hi + 1), mu)
     pmf[-1] = max(1.0 - pmf[:-1].sum(), 0.0)  # fold the tail into the last bin
     observed = np.bincount(np.minimum(samples.astype(np.int64), hi),
                            minlength=hi + 1).astype(np.float64)
@@ -900,10 +936,10 @@ def _poisson_gof(samples, mu):
         exp_b[-1] += acc_e
     if len(exp_b) < 2:
         return {"statistic": 0.0, "pvalue": 1.0, "bins": len(exp_b)}
-    exp_arr = np.asarray(exp_b) * (np.sum(obs_b) / np.sum(exp_b))
-    stat, pval = sps.chisquare(obs_b, exp_arr)
-    return {"statistic": float(stat), "pvalue": float(pval),
-            "bins": len(exp_b)}
+    obs_arr = np.asarray(obs_b)
+    exp_arr = np.asarray(exp_b) * (np.sum(obs_arr) / np.sum(exp_b))
+    stat, pval = _chisquare(obs_arr, exp_arr)
+    return {"statistic": stat, "pvalue": pval, "bins": len(exp_b)}
 
 
 def independence_verdicts(tables, tolerances):

@@ -63,6 +63,7 @@ _OPTION_KEYS = {
 }
 # experiment keyword -> config field; the others are options.<keyword>
 _FIELDS = {"n": "model.n", "sizes": "model.n", "replicates": "run.replicates",
+           "net_seed": "run.net_seed",
            **{key: f"model.{key}" for key in ("p", "q", "kernel", "transfer")}}
 
 
@@ -360,6 +361,14 @@ def validate_config(raw):
     net_seed = run.get("net_seed")
     if net_seed is not None:
         net_seed = _integer(net_seed, "run.net_seed", lo=0)
+    # every experiment picks its own tracked vertices, and only critical
+    # takes a network seed (its contract refuses one in random mode)
+    if experiment is not None and tracked:
+        _fail("run.tracked_vertices",
+              f"experiment {experiment!r} picks its own tracked vertices")
+    if net_seed is not None and experiment not in (None, "critical"):
+        _fail("run.net_seed", f"experiment {experiment!r} draws a fresh "
+              "network per replicate")
 
     out_dir = None
     if "output" in raw:

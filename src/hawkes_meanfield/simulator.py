@@ -136,9 +136,13 @@ class SpikeTrains:
         return np.array([len(t) for t in self.times], dtype=np.int64)
 
     def counts_on_grid(self, grid) -> np.ndarray:
-        """Left-limit counting paths Z^i_{t-} sampled at the grid times."""
+        """Left-limit counting paths Z^i_{t-} sampled at the grid times.
+
+        Float64, the dtype the martingale algebra reads, filled row by row
+        (counts up to 2^53 are exact).
+        """
         grid = np.asarray(grid, dtype=np.float64)
-        out = np.empty((self.n, len(grid)), dtype=np.int64)
+        out = np.empty((self.n, len(grid)), dtype=np.float64)
         for i, ts in enumerate(self.times):
             out[i] = np.searchsorted(ts, grid, side="left")
         return out
@@ -528,15 +532,19 @@ def compensators(result: SimulationResult) -> np.ndarray:
     """Per-vertex compensator paths int_0^t h(S_j(s)) ds on the grid.
 
     Trapezoid quadrature of the recorded full input; needs record_full=True.
+    The cumulative sums overwrite the rate array in place, so the call holds
+    the rates and one step array at most.
     """
-    from scipy.integrate import cumulative_trapezoid
-
     if result.full_input is None:
         raise RecordingMissingError("compensators need record_full=True")
-    rates = result.transfer(result.full_input)
-    if len(result.grid) < 2:
-        return np.zeros_like(rates)
-    return cumulative_trapezoid(rates, result.grid, axis=1, initial=0.0)
+    comp = result.transfer(result.full_input)
+    # the operations and order of scipy's cumulative_trapezoid, bit for bit
+    steps = comp[:, 1:] + comp[:, :-1]
+    steps *= np.diff(result.grid)
+    steps /= 2.0
+    np.cumsum(steps, axis=1, out=comp[:, 1:])
+    comp[:, :1] = 0.0
+    return comp
 
 
 @dataclass(frozen=True)
@@ -588,7 +596,7 @@ def extract_martingale_paths(result: SimulationResult,
             raise ParameterError(f"vertex {v} outside 0..{n - 1}")
     grid = result.grid
     comp = compensators(result)
-    counts = result.trains.counts_on_grid(grid).astype(np.float64)
+    counts = result.trains.counts_on_grid(grid)
 
     u = net.signs.astype(np.float64)
     root = math.sqrt(n)

@@ -6,11 +6,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats as sps
 
 from hawkes_meanfield import analysis, config
 from hawkes_meanfield.analysis import (DEFAULT_TOLERANCES, ExperimentReport,
-                                       _jackknife_scalar, _poisson_gof,
-                                       _reverdict, clt_experiment,
+                                       _chisquare, _jackknife_scalar,
+                                       _poisson_gof, _poisson_pmf,
+                                       _reverdict, _sign_test_pvalue,
+                                       clt_experiment,
                                        critical_experiment,
                                        independence_experiment,
                                        lln_experiment, make_check,
@@ -71,6 +74,10 @@ def test_parameter_guards():
             critical_experiment(n=n, kernel=EXP, transfer=ARCTAN, horizon=1.0,
                                 replicates=5, seed=1,
                                 complementary=complementary)
+    # a network seed fixes the one complementary network; random mode has none
+    with pytest.raises(ParameterError, match="net_seed"):
+        critical_experiment(n=16, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                            replicates=5, seed=1, net_seed=3)
 
 
 def test_regime_guards():
@@ -296,6 +303,41 @@ def test_poisson_gof_behaviour():
     assert shifted["pvalue"] < 1e-6
     degenerate = _poisson_gof(np.zeros(50, dtype=int), 0.01)
     assert degenerate["pvalue"] == 1.0
+
+
+# The verdict tails come from scipy.special; scipy.stats, which the test
+# process loads anyway, is their oracle, and they must match it bit for bit.
+
+def test_sign_test_tail_is_scipy_binomtest():
+    # every table up to n = 64, and n = 200, the shipped critical replicates
+    cases = [(k, n) for n in (*range(1, 65), 200) for k in range(n + 1)]
+    for k, n in cases:
+        want = sps.binomtest(k, n, 0.5, alternative="greater").pvalue
+        assert _sign_test_pvalue(k, n).hex() == float(want).hex(), (k, n)
+
+
+def test_poisson_pmf_is_scipy_poisson_pmf():
+    means = [0.0, 1e-3, 0.01, 0.5, 1.0, 2.0, 4.0, 9.7, 25.0, 100.0, 733.3]
+    means += np.random.default_rng(15).uniform(0.0, 60.0, 200).tolist()
+    for mu in means:
+        hi = int(mu + 10 * math.sqrt(mu + 1.0)) + 1
+        k = np.arange(hi + 1)
+        want = sps.poisson.pmf(k, mu)
+        assert _poisson_pmf(k, mu).tobytes() == want.tobytes(), mu
+
+
+def test_chisquare_is_scipy_chisquare():
+    rng = np.random.default_rng(15)
+    for _ in range(2000):
+        bins = int(rng.integers(2, 30))
+        observed = rng.integers(0, 60, bins).astype(np.float64)
+        observed[0] += 1.0
+        expected = rng.uniform(0.5, 30.0, bins)
+        expected *= np.sum(observed) / np.sum(expected)
+        stat, pval = sps.chisquare(observed, expected)
+        got = _chisquare(observed, expected)
+        assert [x.hex() for x in got] == [float(stat).hex(),
+                                          float(pval).hex()], observed
 
 
 def test_jackknife_scalar_mean_oracle():

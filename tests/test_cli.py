@@ -130,11 +130,12 @@ def test_builders_and_kwargs():
     assert kw["limit_samples"] == 500
     crit = validate_config(_doc(
         experiment="critical",
-        model=dict(_doc()["model"], p=0.5, scaling="critical"),
+        model=dict(_doc()["model"], n=26, p=0.5, scaling="critical"),
         run=dict(_doc()["run"], replicates=5, net_seed=7),
+        options={"complementary": True},
     ))
     kw = experiment_kwargs(crit)
-    assert kw["net_seed"] == 7 and kw["complementary"] is False
+    assert kw["net_seed"] == 7 and kw["complementary"] is True
     assert "p" not in kw
     with pytest.raises(ConfigError, match="experiment"):
         experiment_kwargs(validate_config(_doc()))
@@ -504,10 +505,18 @@ _NO_DERIVATIVE = {"tabulated": {"nodes": [-1.0, 1.0], "values": [0.5, 1.5]}}
     ({"experiment": "independence", "n": 3, "replicates": 10,
       "options": {"m_vertices": 5}}, "options.m_vertices"),
     (dict(_LLN, kernel=_TABULATED), "model.kernel"),
+    (dict(_LLN, run={"tracked_vertices": [0, 1, 2]}), "run.tracked_vertices"),
+    (dict(_COMPLEMENTARY, run={"tracked_vertices": [0, 1]}),
+     "run.tracked_vertices"),
+    (dict(_LLN, run={"net_seed": 9}), "run.net_seed"),
+    (dict(_CLT, run={"net_seed": 9}), "run.net_seed"),
+    (dict(_COMPLEMENTARY, options={}, run={"net_seed": 9}), "run.net_seed"),
 ], ids=["lln-replicates", "lln-one-size", "lln-balanced", "clt-one-tracked",
         "clt-tracked-above-n", "clt-no-derivative", "corollary-no-curvature",
         "complementary-q", "complementary-odd-n", "random-critical-n1",
-        "independence-m-above-n", "lln-tabulated-kernel"])
+        "independence-m-above-n", "lln-tabulated-kernel", "lln-tracked",
+        "complementary-tracked", "lln-net-seed", "clt-net-seed",
+        "random-critical-net-seed"])
 def test_each_contract_rule_is_a_config_error_before_out(
         case, path, tmp_path, capsys, monkeypatch):
     def unreachable(*args, **kwargs):
@@ -518,7 +527,7 @@ def test_each_contract_rule_is_a_config_error_before_out(
         monkeypatch.setattr(analysis, name, unreachable)
     case = dict(case)
     doc = _doc(experiment=case.pop("experiment"))
-    doc["run"]["replicates"] = case.pop("replicates")
+    doc["run"].update(case.pop("run", {}), replicates=case.pop("replicates"))
     if "options" in case:
         doc["options"] = case.pop("options")
     doc["model"].update(case)

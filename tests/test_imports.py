@@ -97,12 +97,12 @@ def test_package_reexports_exactly_the_public_names(module):
     assert _reexports(init)[module] == _public(source)
 
 
-# Imports the package, validates every shipped config, runs simulate,
-# meanfield and fluctuations and a toy clt and a toy time-change lln verify
-# in a fresh interpreter, then lists the scipy modules loaded.  Only the critical sign test, the independence
-# goodness-of-fit test, the compensators and the stationary-point solver
-# import scipy, inside those functions.
-_SCIPY_FREE_RUN = """
+# Each script runs in a fresh interpreter (the test process itself has scipy
+# loaded) and prints the sorted scipy modules loaded at the end.  scipy is
+# imported only inside the functions that need it: `volterra.fixed_point`
+# (scipy.optimize), and the sign-test tail of complementary critical and the
+# independence goodness-of-fit test (scipy.special).
+_PRELUDE = """
 import json, sys
 from pathlib import Path
 
@@ -110,11 +110,31 @@ import hawkes_meanfield
 from hawkes_meanfield import cli
 from hawkes_meanfield.config import load_config, validate_config
 
-for path in sorted(Path(sys.argv[1]).glob("*.json")):
-    validate_config(load_config(path))
 model = {"p": 0.8, "q": 0.5, "kernel": {"exponential": {"rate": 1.0}},
          "transfer": {"arctan": {}}}
 tmp = Path(sys.argv[2])
+
+
+def verify(name, n, run, options, **model_over):
+    doc = {"experiment": name, "model": dict(model, n=n, **model_over),
+           "run": dict(run, horizon=1.0, seed=7), "options": options}
+    cfg = tmp / f"{name}.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    status = cli.main(["verify", "--config", str(cfg),
+                       "--out", str(tmp / name)])
+    assert status in (0, 1), (name, status)
+
+
+def loaded():
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m == "scipy" or m.startswith("scipy."))))
+"""
+
+# Validates every shipped config, runs simulate, meanfield and fluctuations,
+# a toy clt, a toy time-change lln and a toy random-mode critical verify.
+_SCIPY_FREE_RUN = _PRELUDE + """
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    validate_config(load_config(path))
 cfg = tmp / "single.json"
 cfg.write_text(json.dumps({"model": dict(model, n=25),
                            "run": {"horizon": 1.0, "replicates": 2,
@@ -124,29 +144,39 @@ for command in ("simulate", "meanfield", "fluctuations"):
     status = cli.main([command, "--config", str(cfg),
                        "--out", str(tmp / command)])
     assert status == 0, (command, status)
-for name, n, run, options in [
-        ("clt", 40, {"replicates": 8},
-         {"n_tracked": 2, "limit_samples": 200}),
-        ("lln", [15, 30], {"replicates": 3, "backend": "time_change"}, {})]:
-    doc = {"experiment": name, "model": dict(model, n=n),
-           "run": dict(run, horizon=1.0, seed=7), "options": options}
-    cfg = tmp / f"{name}.json"
-    cfg.write_text(json.dumps(doc), encoding="utf-8")
-    status = cli.main(["verify", "--config", str(cfg),
-                       "--out", str(tmp / name)])
-    assert status in (0, 1), (name, status)
-print(json.dumps(sorted(m for m in sys.modules
-                        if m == "scipy" or m.startswith("scipy."))))
+verify("clt", 40, {"replicates": 8}, {"n_tracked": 2, "limit_samples": 200})
+verify("lln", [15, 30], {"replicates": 3, "backend": "time_change"}, {})
+verify("critical", 16, {"replicates": 5}, {}, p=0.5, scaling="critical")
+loaded()
+"""
+
+# A toy complementary critical and a toy independence verify: their tails
+# come from scipy.special alone.
+_TAILS_RUN = _PRELUDE + """
+verify("critical", 16, {"replicates": 5}, {"complementary": True}, p=0.5,
+       scaling="critical")
+verify("independence", [20], {"replicates": 10}, {})
+loaded()
 """
 
 
-def test_package_commands_and_clt_lln_verify_never_load_scipy(tmp_path):
-    # the test process itself has scipy loaded, hence the subprocess
+def _loaded_scipy(script, tmp_path):
     root = PACKAGE.parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUN, str(root / "configs"),
-         str(tmp_path)], env=env, capture_output=True, text=True,
-        timeout=300)
+        [sys.executable, "-c", script, str(root / "configs"), str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_commands_and_clt_lln_verify_never_load_scipy(tmp_path):
+    assert _loaded_scipy(_SCIPY_FREE_RUN, tmp_path) == []
+
+
+def test_verdict_tails_load_neither_scipy_stats_nor_integrate(tmp_path):
+    loaded = _loaded_scipy(_TAILS_RUN, tmp_path)
+    assert "scipy.special" in loaded
+    for package in ("scipy.stats", "scipy.integrate", "scipy.optimize"):
+        assert not [m for m in loaded
+                    if m == package or m.startswith(package + ".")], package

@@ -7,6 +7,9 @@ whole lln experiment, which records no (n, grid) input matrix.
 
 An experiment holds one replicate at a time: its peak stays within 5% of the
 peak of a single replicate (network, simulation, martingale extraction).
+Martingale extraction itself holds at most the compensators, the counting
+paths and a step array on top of the recorded input: below 2.5 float64
+arrays of the recording's shape (n, M+1).
 """
 
 import tracemalloc
@@ -97,3 +100,17 @@ def test_experiment_peak_is_one_replicate(experiment):
             n=n, replicates=5, **common))
     assert peak <= 1.05 * single, (
         f"{experiment}: peak {peak} B > 1.05 x one replicate {single} B")
+
+
+def test_martingale_extraction_peak_below_two_and_a_half_recordings():
+    n = 1500
+    net = sample_network(n, 0.5, 0.5, seed=7)
+    cfg = SimulationConfig(horizon=0.1, seed=7, scaling="critical",
+                           tracked_vertices=(0, 1), record_full=True)
+    res = simulate_thinning(net, KERNELS["exponential"], arctan_transfer(),
+                            cfg)
+    recording = res.full_input.nbytes
+    assert recording == 8 * n * len(res.grid)
+    peak = _traced_peak(extract_martingale_paths, res, (0, 1))
+    assert peak < 2.5 * recording, (
+        f"peak {peak} B = {peak / recording:.2f} x 8 n (M+1) B")
