@@ -750,8 +750,8 @@ def _sign_test_pvalue(k, n):
     """P(Binomial(n, 1/2) >= k), the one-sided sign-test tail.
 
     The regularized incomplete beta I_{1/2}(k, n - k + 1) is that tail; it
-    is the value scipy.stats.binomtest(k, n, 0.5, alternative="greater")
-    returns, bit for bit, without importing scipy.stats.
+    is the value scipy's binomtest(k, n, 0.5, alternative="greater")
+    returns, bit for bit, without loading scipy's statistics package.
     """
     if k == 0:
         return 1.0
@@ -890,8 +890,8 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
 def _poisson_pmf(k, mu):
     """Poisson(mu) probabilities of the integers k.
 
-    The expression scipy.stats.poisson.pmf evaluates, so the values agree
-    bit for bit, without importing scipy.stats.
+    The expression scipy's poisson.pmf evaluates, so the values agree bit
+    for bit, without loading scipy's statistics package.
     """
     from scipy.special import gammaln, xlogy
 
@@ -901,9 +901,9 @@ def _poisson_pmf(k, mu):
 def _chisquare(observed, expected):
     """Pearson's statistic and its chi-square tail on len(observed) - 1 dof.
 
-    The operations of scipy.stats.chisquare on float64 arrays whose sums
-    agree, so (statistic, pvalue) agree bit for bit, without importing
-    scipy.stats.
+    The operations of scipy's chisquare on float64 arrays whose sums agree,
+    so (statistic, pvalue) agree bit for bit, without loading scipy's
+    statistics package.
     """
     from scipy.special import chdtrc
 

@@ -130,8 +130,9 @@ def loaded():
                             if m == "scipy" or m.startswith("scipy."))))
 """
 
-# Validates every shipped config, runs simulate, meanfield and fluctuations,
-# a toy clt, a toy time-change lln and a toy random-mode critical verify.
+# Validates every shipped config, runs simulate, meanfield and fluctuations
+# and a toy verify of clt, time-change lln, corollary and random-mode
+# critical.
 _SCIPY_FREE_RUN = _PRELUDE + """
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
     validate_config(load_config(path))
@@ -146,6 +147,7 @@ for command in ("simulate", "meanfield", "fluctuations"):
     assert status == 0, (command, status)
 verify("clt", 40, {"replicates": 8}, {"n_tracked": 2, "limit_samples": 200})
 verify("lln", [15, 30], {"replicates": 3, "backend": "time_change"}, {})
+verify("corollary", [15, 30], {"replicates": 8}, {})
 verify("critical", 16, {"replicates": 5}, {}, p=0.5, scaling="critical")
 loaded()
 """
