@@ -111,6 +111,57 @@ def test_regime_consistency_rules():
     assert crit.options == {"complementary": True}
 
 
+def _refused(experiment=None, model=None, run=None, options=None):
+    doc = _doc(model=dict(_doc()["model"], **(model or {})),
+               run=dict(_doc()["run"], **(run or {})))
+    if experiment is not None:
+        doc["experiment"] = experiment
+    if options is not None:
+        doc["options"] = options
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_refused("critical", run={"replicates": 5}),
+     "model.p: the critical experiment requires p = 0.5"),
+    (_refused("critical", model={"p": 0.5, "scaling": "mean_field"},
+              run={"replicates": 5}),
+     "model.scaling: the critical experiment requires scaling = 'critical'"),
+    (_refused("lln", model={"n": [15, 60], "scaling": "critical"},
+              run={"replicates": 3}),
+     "model.scaling: experiment 'lln' requires scaling = 'mean_field'"),
+    (_refused(model={"scaling": "critical"}),
+     "model.scaling: critical scaling requires p = 0.5"),
+    (_refused("clt", model={"n": [25, 50]}, run={"replicates": 8}),
+     "model.n: experiment 'clt' takes a single size"),
+    (_refused("lln", model={"n": [15, 60]}, run={"replicates": 3,
+                                                  "net_seed": 9}),
+     "run.net_seed: experiment 'lln' draws a fresh network per replicate"),
+    (_refused("lln", model={"n": [15, 60]}, run={"replicates": 3},
+              options={"m_vertices": 3}),
+     "options.m_vertices: experiment 'lln' takes no options"),
+    (_refused(options={"m_vertices": 3}),
+     "options.m_vertices: a plain run takes no options"),
+    (_refused("clt", run={"replicates": 8}, options={"n_trackd": 3}),
+     "options.n_trackd: unknown key (allowed: limit_samples, n_tracked)"),
+    (_refused("critical", model={"n": 16, "p": 0.5}, run={"replicates": 5},
+              options={"complementary": 1}),
+     "options.complementary: expected true or false"),
+    (_refused("clt", run={"replicates": 8}, options={"limit_samples": 64}),
+     "options.limit_samples: must be >= 100"),
+    (_refused("independence", run={"replicates": 10},
+              options={"m_vertices": 2.5}),
+     "options.m_vertices: expected an integer, got float"),
+], ids=["critical-p", "critical-scaling", "lln-scaling", "plain-critical-p",
+        "clt-sizes", "lln-net-seed", "lln-options", "plain-options",
+        "clt-unknown-option", "complementary-not-bool", "limit-samples-floor",
+        "m-vertices-not-int"])
+def test_config_refusals_keep_their_text(doc, message):
+    with pytest.raises(ConfigError) as err:
+        validate_config(doc)
+    assert str(err.value) == message
+
+
 def test_manifest_files_load_as_configs(tmp_path):
     cfg = validate_config(_doc())
     manifest = {"tool": {"name": "x"}, "resolved_config": cfg.resolved()}

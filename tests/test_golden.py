@@ -4,7 +4,8 @@ SHA-256 digests of the spike trains, the recorded input paths and the
 diagnostics at fixed seeds, for both backends under the exponential kernel
 (lazy decay) and under a tabulated kernel (windowed history); and of the
 report.json text of every experiment (both critical modes) at toy scale on
-both backends; and of the fluctuation-limit sampler's paths, terminal
+both backends, and of the plotdata.csv text that `plot-data` writes from
+each such report.json; and of the fluctuation-limit sampler's paths, terminal
 batches and exact terminal covariance in both kernel modes.  A refactor of
 the event loops, the grid recorder, the experiment drivers or the
 fluctuation integrator must reproduce every digest; a change that alters the RNG
@@ -20,6 +21,7 @@ under "machine" in the table; everywhere the paths are also checked against a
 brute-force reconvolution of the spike trains at a tight tolerance.
 """
 
+import functools
 import hashlib
 import json
 import platform
@@ -28,8 +30,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hawkes_meanfield.analysis import run_experiment
-from hawkes_meanfield.cli import _json_text
+from hawkes_meanfield.analysis import report_from_dict, run_experiment
+from hawkes_meanfield.cli import _json_text, _plot_csv
 from hawkes_meanfield.fluctuations import (sample_terminal_fluctuations,
                                            simulate_fluctuations,
                                            terminal_covariance)
@@ -156,14 +158,26 @@ def _report_cases():
                   for backend in BACKENDS)
 
 
-def _report_digest(case):
-    """SHA-256 of the report.json text that `verify` writes for the case."""
+@functools.lru_cache(maxsize=None)
+def _report_text(case):
+    """The report.json text that `verify` writes for the case."""
     name, backend = case.rsplit("-", 1)
     experiment, kernel, kwargs = _REPORTS[name]
     report = run_experiment(experiment, kernel=KERNELS[kernel],
                             transfer=arctan_transfer(), backend=backend,
                             **kwargs)
-    return hashlib.sha256(_json_text(report.to_dict()).encode()).hexdigest()
+    return _json_text(report.to_dict())
+
+
+def _report_digest(case):
+    return hashlib.sha256(_report_text(case).encode()).hexdigest()
+
+
+def _plotdata_digest(case):
+    """SHA-256 of the plotdata.csv text `plot-data` writes from the case's
+    report.json."""
+    report = report_from_dict(json.loads(_report_text(case)))
+    return hashlib.sha256(_plot_csv(report).encode()).hexdigest()
 
 
 # fluctuation setting -> (p, q, n_vertices); q in {0, 1} and n_vertices = 0
@@ -256,6 +270,14 @@ def test_report_digests(case):
     assert _report_digest(case) == table["reports"][case]
 
 
+@pytest.mark.parametrize("case", _report_cases())
+def test_plotdata_digests(case):
+    table = _table()
+    if _machine() != table["machine"]:
+        pytest.skip(f"plot-data digests were taken on {table['machine']}")
+    assert _plotdata_digest(case) == table["plotdata"][case]
+
+
 @pytest.mark.parametrize("case", _fluct_cases())
 def test_fluctuation_digests(case):
     table = _table()
@@ -270,6 +292,8 @@ if __name__ == "__main__":
                        for case, args in sorted(_cases().items())},
              "reports": {case: _report_digest(case)
                          for case in _report_cases()},
+             "plotdata": {case: _plotdata_digest(case)
+                          for case in _report_cases()},
              "fluctuations": {case: _fluct_hashes(case)
                               for case in _fluct_cases()}}
     print(json.dumps(table, indent=1, sort_keys=True))
