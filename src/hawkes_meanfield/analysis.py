@@ -5,7 +5,7 @@ them to `_report`, which stores them as plain data and judges the stored
 form.  The split matters: the ``*_verdicts`` functions are pure functions
 of (tables, tolerances), and a run and a replay (`_reverdict`) apply them
 to the same data, so a persisted report re-judges to its verdicts bit for
-bit.
+bit.  The plot rows are likewise a function of the stored tables alone.
 
 Seed layout: replicate r at the b-th entry of an experiment's sizes (b = 0
 for the single-size clt and critical) uses replicate_seed(seed,
@@ -17,6 +17,7 @@ is the only loop over replicates.
 
 import logging
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -169,7 +170,7 @@ def report_from_dict(data: dict) -> ExperimentReport:
 
 def _reverdict(report: ExperimentReport) -> list:
     """Recompute the checks of a (possibly deserialized) report."""
-    verdicts = _EXPERIMENTS[report.experiment][1]
+    verdicts = _EXPERIMENTS[report.experiment].verdicts
     return verdicts(report.tables, report.tolerances)
 
 
@@ -177,7 +178,7 @@ def _report(name, tol, tables, *, kernel, transfer, **params):
     """The report of experiment `name`, judged from its stored tables."""
     tables = _pure(tables)
     params.update(kernel=kernel.kind, transfer=transfer.kind)
-    checks = _EXPERIMENTS[name][1](tables, tol)
+    checks = _EXPERIMENTS[name].verdicts(tables, tol)
     return ExperimentReport(name, params, tol, tables, checks)
 
 
@@ -271,6 +272,19 @@ def _downsample_stride(grid, target=256):
     return max(1, (len(grid) - 1) // target)
 
 
+def _fmt(x):
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, int):
+        return str(x)
+    return repr(float(x))
+
+
+def _by_replicate(name, values):
+    """Plot rows of one value per replicate: t empty, replicate index set."""
+    return [(name, "", _fmt(v), str(r)) for r, v in enumerate(values)]
+
+
 # ----------------------------------------------------------------------
 # law of large numbers
 # ----------------------------------------------------------------------
@@ -346,6 +360,13 @@ def lln_verdicts(tables, tolerances):
     return checks
 
 
+def _lln_plot_rows(tables):
+    rows = [row for n, errs in tables["sup_errors"].items()
+            for row in _by_replicate(f"sup_error[n={n}]", errs)]
+    return rows + [("median_sup_error", n, _fmt(v), "")
+                   for n, v in tables["medians"].items()]
+
+
 # ----------------------------------------------------------------------
 # central limit theorem
 # ----------------------------------------------------------------------
@@ -363,7 +384,7 @@ def _clt_contract(*, n, p, transfer, replicates, limit_samples, n_tracked,
 
 
 def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
-                   limit_samples, seed, n_tracked=2, backend="thinning",
+                   seed, n_tracked=2, limit_samples=10000, backend="thinning",
                    dt=None, tolerances=None) -> ExperimentReport:
     """Terminal-time fluctuation moments against the limit system.
 
@@ -371,7 +392,7 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     for the first n_tracked vertices plus the vertex average.  Limit side:
     the exact moments of the Gaussian system (mean 0, terminal_covariance),
     computed before any replicate runs; clt draws no limit samples, and
-    limit_samples is validated and recorded but has no effect.  Matched
+    limit_samples (default 10000) is only validated and recorded.  Matched
     within pooled standard-error bands; the covariance must also show the
     exchangeable structure (diagonal strictly above off-diagonal when
     0 < q < 1).
@@ -465,6 +486,13 @@ def clt_verdicts(tables, tolerances):
             detail="structure check only applies for 0 < q < 1",
         ))
     return checks
+
+
+def _clt_plot_rows(tables):
+    values = tables["values_finite"]
+    labels = ["kbar_T"] + [f"k{j}_T" for j in range(1, len(values[0]))]
+    return [(labels[c], "", _fmt(v), str(r))
+            for r, row in enumerate(values) for c, v in enumerate(row)]
 
 
 # ----------------------------------------------------------------------
@@ -601,6 +629,13 @@ def corollary_verdicts(tables, tolerances):
         coup["corr"], coup["target"], z_band * coup["se"],
     ))
     return checks
+
+
+def _corollary_plot_rows(tables):
+    rows = [row for n, sups in tables["sup_stats"].items()
+            for row in _by_replicate(f"sup_stat[n={n}]", sups)]
+    return (rows + _by_replicate("x0_terminal", tables["root_n_stat"]["values"])
+            + _by_replicate("xu_terminal", tables["coupling"]["signed_values"]))
 
 
 def _jackknife_scalar(values, statistic):
@@ -822,6 +857,24 @@ def critical_verdicts(tables, tolerances):
     return checks
 
 
+def _critical_plot_rows(tables):
+    """Paths against t (complementary: also the mean drifts), then scalars."""
+    t_grid = [_fmt(t) for t in tables["t_grid"]]
+    rows = [(name, t, _fmt(v), str(r))
+            for name, reps in tables["series"].items()
+            for r, path in enumerate(reps) for t, v in zip(t_grid, path)]
+    scalars = ["slope_diag", "slope_target", "slope_cross"]
+    if tables["mode"] == "complementary":
+        rows += [(name, t, _fmt(v), "")
+                 for name in ("drift_mean0", "drift_mean1", "drift_gap_mean",
+                              "drift_gap_se")
+                 for t, v in zip(t_grid, tables[name])]
+        scalars.append("increment_correlations")
+    for name in scalars:
+        rows += _by_replicate(name, tables[name])
+    return rows
+
+
 # ----------------------------------------------------------------------
 # asymptotic independence
 # ----------------------------------------------------------------------
@@ -962,24 +1015,40 @@ def independence_verdicts(tables, tolerances):
     return checks
 
 
-# name -> (experiment, verdicts, contract); config and cli read names here.
-# The experiment runs its contract before any compute; config validation
-# runs it too, on the keyword arguments a config builds.
+def _independence_plot_rows(tables):
+    return [(f"count[n={n},vertex={j}]", "", _fmt(v), str(r))
+            for n, mat in tables["counts"].items()
+            for r, row in enumerate(mat) for j, v in enumerate(row)]
+
+
+# All that config and cli know of an experiment: config reads its size form
+# and options from the signature of `run`; verdicts and plot_rows are pure
+# functions of the stored tables; the contract runs before any compute, in
+# the experiment and in config validation; scaling is the regime.
+Experiment = namedtuple("Experiment",
+                        "run verdicts contract plot_rows scaling")
+
 _EXPERIMENTS = {
-    "lln": (lln_experiment, lln_verdicts, _lln_contract),
-    "clt": (clt_experiment, clt_verdicts, _clt_contract),
-    "corollary": (corollary_experiment, corollary_verdicts,
-                  _corollary_contract),
-    "critical": (critical_experiment, critical_verdicts, _critical_contract),
-    "independence": (independence_experiment, independence_verdicts,
-                     _independence_contract),
+    "lln": Experiment(lln_experiment, lln_verdicts, _lln_contract,
+                      _lln_plot_rows, "mean_field"),
+    "clt": Experiment(clt_experiment, clt_verdicts, _clt_contract,
+                      _clt_plot_rows, "mean_field"),
+    "corollary": Experiment(corollary_experiment, corollary_verdicts,
+                            _corollary_contract, _corollary_plot_rows,
+                            "mean_field"),
+    "critical": Experiment(critical_experiment, critical_verdicts,
+                           _critical_contract, _critical_plot_rows,
+                           "critical"),
+    "independence": Experiment(independence_experiment,
+                               independence_verdicts, _independence_contract,
+                               _independence_plot_rows, "mean_field"),
 }
 
 
 def run_experiment(name: str, **kwargs) -> ExperimentReport:
     """Dispatch to the named experiment with keyword arguments."""
     try:
-        fn = _EXPERIMENTS[name][0]
+        fn = _EXPERIMENTS[name].run
     except KeyError:
         raise ParameterError(
             f"unknown experiment {name!r}; choose from {sorted(_EXPERIMENTS)}"

@@ -27,8 +27,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .analysis import (_BACKENDS, _downsample_stride, report_from_dict,
-                       run_experiment)
+from .analysis import (_BACKENDS, _EXPERIMENTS, _downsample_stride,
+                       report_from_dict, run_experiment)
 from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, load_config,
                      read_json, validate_config)
 from .errors import ConfigError, ToolkitError
@@ -54,14 +54,6 @@ def _write_atomic(path, text):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt(x):
-    if isinstance(x, bool):
-        return str(int(x))
-    if isinstance(x, int):
-        return str(x)
-    return repr(float(x))
 
 
 def _resolve_jobs(args):
@@ -254,68 +246,10 @@ def _cmd_verify(args):
 # plot-data
 # ----------------------------------------------------------------------
 
-# complementary-mode aggregate paths that live next to tables["series"]
-_AGGREGATE_SERIES = ("drift_mean0", "drift_mean1", "drift_gap_mean",
-                     "drift_gap_se")
-# per-replicate scalars worth re-plotting (value vs replicate index)
-_SCALAR_SERIES = ("slope_diag", "slope_target", "slope_cross",
-                  "increment_correlations")
-
-
-def _plot_rows(report):
-    """Long-format rows (series, t, value, replicate) from a report.
-
-    Time series carry grid times, size-indexed summaries use the network
-    size as the abscissa, and terminal-value samples leave t empty.
-    """
-    tables = report.tables
-    rows = []
-
-    t_grid = tables.get("t_grid")
-    if t_grid is not None:
-        for name, reps in tables.get("series", {}).items():
-            for r, path in enumerate(reps):
-                rows += [(name, _fmt(t), _fmt(v), str(r))
-                         for t, v in zip(t_grid, path)]
-        for name in _AGGREGATE_SERIES:
-            if name in tables:
-                rows += [(name, _fmt(t), _fmt(v), "")
-                         for t, v in zip(t_grid, tables[name])]
-        for name in _SCALAR_SERIES:
-            if name in tables:
-                rows += [(name, "", _fmt(v), str(r))
-                         for r, v in enumerate(tables[name])]
-
-    if report.experiment == "lln":
-        for n, errs in tables["sup_errors"].items():
-            rows += [(f"sup_error[n={n}]", "", _fmt(v), str(r))
-                     for r, v in enumerate(errs)]
-        rows += [("median_sup_error", n, _fmt(tables["medians"][n]), "")
-                 for n in tables["medians"]]
-    elif report.experiment == "clt":
-        labels = ["kbar_T"] + [f"k{j}_T" for j in range(1, 1 + len(
-            tables["values_finite"][0]) - 1)]
-        for r, row in enumerate(tables["values_finite"]):
-            rows += [(labels[c], "", _fmt(v), str(r))
-                     for c, v in enumerate(row)]
-    elif report.experiment == "corollary":
-        for n, sups in tables["sup_stats"].items():
-            rows += [(f"sup_stat[n={n}]", "", _fmt(v), str(r))
-                     for r, v in enumerate(sups)]
-        rows += [("x0_terminal", "", _fmt(v), str(r))
-                 for r, v in enumerate(tables["root_n_stat"]["values"])]
-        rows += [("xu_terminal", "", _fmt(v), str(r))
-                 for r, v in enumerate(tables["coupling"]["signed_values"])]
-    elif report.experiment == "independence":
-        for n, mat in tables["counts"].items():
-            for r, row in enumerate(mat):
-                rows += [(f"count[n={n},vertex={j}]", "", _fmt(v), str(r))
-                         for j, v in enumerate(row)]
-    return rows
-
-
 def _plot_csv(report):
-    rows = _plot_rows(report)
+    """Long-format rows (series, t, value, replicate) that the report's
+    experiment reads from its stored tables."""
+    rows = _EXPERIMENTS[report.experiment].plot_rows(report.tables)
     lines = ["# schema: plotdata v1", PLOT_HEADER]
     lines += [",".join(row) for row in rows]
     return "\n".join(lines) + "\n"

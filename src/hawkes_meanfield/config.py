@@ -28,12 +28,15 @@ returns an `ExperimentConfig` whose `resolved()` form fills in every
 default; feeding that form back through validation is a fixed point,
 which is what makes manifests replayable.
 
-The experiment rules (replicate minima, sizes, p != 1/2, kernel, transfer,
-option ranges) come from `analysis`: after parsing, validation runs the
-experiment's contract and reports a refusal at the field that set it.
+No experiment is named here.  Its `analysis._EXPERIMENTS` entry gives its
+regime (`scaling`) and contract (replicate minima, sizes, p != 1/2, kernel,
+transfer, option ranges), run after parsing with a refusal reported at the
+field that set it.  Its signature gives its size form (`sizes` or `n`), its
+options with their defaults, and whether it takes `p` and `run.net_seed`.
 """
 
 import dataclasses
+import inspect
 import json
 import math
 
@@ -53,18 +56,27 @@ EXPERIMENTS = tuple(_EXPERIMENTS)
 BACKENDS = tuple(_BACKENDS)
 SCALINGS = ("mean_field", "critical")
 
-# which experiments take a list of sizes, and the option keys (with their
-# defaults) of those that take any
-_LIST_SIZED = {"lln", "corollary", "independence"}
-_OPTION_KEYS = {
-    "clt": {"n_tracked": 2, "limit_samples": 10000},
-    "critical": {"complementary": False},
-    "independence": {"m_vertices": 2},
-}
-# experiment keyword -> config field; the others are options.<keyword>
-_FIELDS = {"n": "model.n", "sizes": "model.n", "replicates": "run.replicates",
-           "net_seed": "run.net_seed",
-           **{key: f"model.{key}" for key in ("p", "q", "kernel", "transfer")}}
+# experiment keyword -> the config field that sets it; every other
+# keyword-only parameter of an experiment is an option, options.<keyword>
+_FIELDS = {"n": "model.n", "sizes": "model.n", "tolerances": "tolerances",
+           **{key: f"model.{key}" for key in ("p", "q", "kernel", "transfer")},
+           **{key: f"run.{key}" for key in ("horizon", "dt", "replicates",
+                                            "seed", "backend", "net_seed")}}
+# config-only floor: golden clt reports call the library with 64; the option
+# has no effect, retired with the benchmark's use of it
+_OPTION_FLOORS = {"limit_samples": 100}
+
+
+def _schema(entry):
+    """(keywords config fields set, {option: default}, regime) of an entry."""
+    params = inspect.signature(entry.run).parameters.values()
+    return (tuple(p.name for p in params if p.name in _FIELDS),
+            {p.name: p.default for p in params
+             if p.kind is p.KEYWORD_ONLY and p.name not in _FIELDS},
+            entry.scaling)
+
+
+_SCHEMAS = {name: _schema(entry) for name, entry in _EXPERIMENTS.items()}
 
 
 def _fail(path, msg):
@@ -280,6 +292,7 @@ def validate_config(raw):
     experiment = raw.get("experiment")
     if experiment is not None:
         experiment = _choice(experiment, "experiment", EXPERIMENTS)
+    fields, defaults, regime = _SCHEMAS.get(experiment, ((), {}, None))
 
     if "model" not in raw:
         _fail("model", "required")
@@ -297,10 +310,9 @@ def validate_config(raw):
         n = sizes
     else:
         n = _integer(model["n"], "model.n", lo=1)
-    if experiment in _LIST_SIZED and not isinstance(n, list):
+    if "sizes" in fields and not isinstance(n, list):
         n = [n]
-    if experiment is not None and experiment not in _LIST_SIZED \
-            and isinstance(n, list):
+    if "n" in fields and isinstance(n, list):
         _fail("model.n", f"experiment {experiment!r} takes a single size")
 
     p = _number(model["p"], "model.p", lo=0.0, hi=1.0)
@@ -308,23 +320,16 @@ def validate_config(raw):
     kernel_spec = _kernel_spec(model["kernel"], "model.kernel")
     transfer_spec = _transfer_spec(model["transfer"], "model.transfer")
 
-    default_scaling = "critical" if experiment == "critical" else "mean_field"
-    scaling = _choice(model.get("scaling", default_scaling), "model.scaling",
-                      SCALINGS)
-
-    # no experiment keyword carries the regime: critical runs at p = 1/2
-    # under root-N scaling, every other experiment under mean-field scaling
-    if experiment == "critical":
-        if p != 0.5:
-            _fail("model.p", "the critical experiment requires p = 0.5")
-        if scaling != "critical":
-            _fail("model.scaling", "the critical experiment requires "
-                  "scaling = 'critical'")
-    elif experiment is not None:
-        if scaling != "mean_field":
-            _fail("model.scaling", f"experiment {experiment!r} requires "
-                  "scaling = 'mean_field'")
-    elif scaling == "critical" and p != 0.5:
+    scaling = _choice(model.get("scaling", regime or "mean_field"),
+                      "model.scaling", SCALINGS)
+    # no experiment keyword carries the regime: an experiment runs under the
+    # scaling its entry names, and critical (root-N) scaling needs p = 1/2
+    if regime == "critical" and p != 0.5:
+        _fail("model.p", f"the {experiment} experiment requires p = 0.5")
+    if regime not in (None, scaling):
+        _fail("model.scaling", f"experiment {experiment!r} requires "
+              f"scaling = {regime!r}")
+    if scaling == "critical" and p != 0.5:
         _fail("model.scaling", "critical scaling requires p = 0.5")
 
     if "run" not in raw:
@@ -361,12 +366,12 @@ def validate_config(raw):
     net_seed = run.get("net_seed")
     if net_seed is not None:
         net_seed = _integer(net_seed, "run.net_seed", lo=0)
-    # every experiment picks its own tracked vertices, and only critical
-    # takes a network seed (its contract refuses one in random mode)
+    # every experiment picks its own tracked vertices, and only one with a
+    # net_seed keyword takes a network seed (its contract may refuse it)
     if experiment is not None and tracked:
         _fail("run.tracked_vertices",
               f"experiment {experiment!r} picks its own tracked vertices")
-    if net_seed is not None and experiment not in (None, "critical"):
+    if net_seed is not None and experiment and "net_seed" not in fields:
         _fail("run.net_seed", f"experiment {experiment!r} draws a fresh "
               "network per replicate")
 
@@ -380,25 +385,20 @@ def validate_config(raw):
             _fail("output.directory", "expected a string")
         out_dir = output["directory"]
 
-    allowed_options = _OPTION_KEYS.get(experiment, {})
     options = _mapping(raw.get("options", {}), "options")
-    if options and not allowed_options:
+    if options and not defaults:
         which = f"experiment {experiment!r}" if experiment else "a plain run"
         _fail(f"options.{next(iter(options))}",
               f"{which} takes no options")
-    _only_keys(options, "options", set(allowed_options))
-    merged = dict(allowed_options)
+    _only_keys(options, "options", set(defaults))
+    merged = dict(defaults)
     for key, value in options.items():
-        if key == "complementary":
-            if not isinstance(value, bool):
-                _fail("options.complementary", "expected true or false")
-            merged[key] = value
-        elif key == "limit_samples":
-            # config-only floor: golden clt reports call the library with 64;
-            # the option has no effect, retired with the benchmark's use of it
-            merged[key] = _integer(value, "options.limit_samples", lo=100)
-        else:
-            merged[key] = _integer(value, f"options.{key}")
+        if not isinstance(defaults[key], bool):
+            value = _integer(value, f"options.{key}",
+                             lo=_OPTION_FLOORS.get(key))
+        elif not isinstance(value, bool):
+            _fail(f"options.{key}", "expected true or false")
+        merged[key] = value
 
     tolerances = _mapping(raw.get("tolerances", {}), "tolerances")
     _only_keys(tolerances, "tolerances", set(DEFAULT_TOLERANCES))
@@ -421,7 +421,7 @@ def validate_config(raw):
     )
     if experiment is not None:
         try:
-            _EXPERIMENTS[experiment][2](**experiment_kwargs(cfg))
+            _EXPERIMENTS[experiment].contract(**experiment_kwargs(cfg))
         except ToolkitError as exc:
             _fail(_FIELDS.get(exc.keyword, f"options.{exc.keyword}"),
                   str(exc))
@@ -432,13 +432,9 @@ def experiment_kwargs(cfg):
     """Keyword arguments for run_experiment built from a validated config."""
     if cfg.experiment is None:
         raise ConfigError("experiment: required (config key or --experiment)")
-    # option keys are the experiments' keyword names
-    kwargs = dict(cfg.options, kernel=cfg.build_kernel(),
-                  transfer=cfg.build_transfer(), q=cfg.q,
-                  horizon=cfg.horizon, replicates=cfg.replicates,
-                  seed=cfg.seed, backend=cfg.backend, dt=cfg.dt,
-                  tolerances=cfg.tolerances)
-    if cfg.experiment == "critical":
-        return dict(kwargs, n=cfg.n, net_seed=cfg.net_seed)
-    size = "sizes" if cfg.experiment in _LIST_SIZED else "n"
-    return dict(kwargs, p=cfg.p, **{size: cfg.n})
+    # option keys are the experiments' keyword names, and so are the config
+    # attributes, but for sizes (n) and the kernel and transfer (built)
+    values = dict(vars(cfg), sizes=cfg.n, kernel=cfg.build_kernel(),
+                  transfer=cfg.build_transfer())
+    fields = _SCHEMAS[cfg.experiment][0]
+    return dict(cfg.options, **{key: values[key] for key in fields})

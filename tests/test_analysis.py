@@ -212,8 +212,8 @@ def test_reports_survive_json_and_reverdict():
 
 def test_each_experiment_is_judged_by_its_named_verdicts():
     # bench/run.py re-judges reports through analysis.<name>_verdicts
-    for name, (_, verdicts, _) in analysis._EXPERIMENTS.items():
-        assert verdicts is getattr(analysis, f"{name}_verdicts"), name
+    for name, entry in analysis._EXPERIMENTS.items():
+        assert entry.verdicts is getattr(analysis, f"{name}_verdicts"), name
 
 
 def test_config_names_come_from_the_analysis_tables():
@@ -226,14 +226,27 @@ def test_config_names_come_from_the_analysis_tables():
 
 def test_option_defaults_are_the_experiment_defaults():
     # a config and a library call that both omit an option must run alike
-    compared = []
-    for name, options in config._OPTION_KEYS.items():
-        params = inspect.signature(analysis._EXPERIMENTS[name][0]).parameters
-        for key, default in options.items():
-            if params[key].default is not inspect.Parameter.empty:
-                assert params[key].default == default, f"{name}.{key}"
-                compared.append(key)
-    assert "m_vertices" in compared
+    minimal = {
+        "lln": ({"n": [15, 60]}, 3, set()),
+        "clt": ({"n": 25}, 8, {"n_tracked", "limit_samples"}),
+        "corollary": ({"n": [15, 30]}, 8, set()),
+        "critical": ({"n": 20, "p": 0.5}, 5, {"complementary"}),
+        "independence": ({"n": [24]}, 10, {"m_vertices"}),
+    }
+    assert set(minimal) == set(analysis._EXPERIMENTS)
+    for name, (model, replicates, options) in minimal.items():
+        cfg = config.validate_config({
+            "experiment": name,
+            "model": dict(model, p=model.get("p", 0.8), q=0.5,
+                          kernel={"exponential": {"rate": 1.0}},
+                          transfer={"arctan": {}}),
+            "run": {"horizon": 1.0, "replicates": replicates, "seed": 1},
+        })
+        params = inspect.signature(analysis._EXPERIMENTS[name].run).parameters
+        assert set(cfg.options) == options, name
+        for key, value in cfg.options.items():
+            assert value == params[key].default, f"{name}.{key}"
+            assert type(value) is type(params[key].default), f"{name}.{key}"
 
 
 def test_run_experiment_dispatch_matches_direct_call():

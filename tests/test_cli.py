@@ -2,6 +2,7 @@
 
 import json
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -42,12 +43,22 @@ def _write(tmp_path, doc, name="cfg.json"):
 # config validation
 # ----------------------------------------------------------------------
 
-def test_resolved_config_is_a_fixed_point():
-    cfg = validate_config(_doc(experiment="lln",
-                               model=dict(_doc()["model"], n=[15, 60]),
-                               run=dict(_doc()["run"], replicates=3)))
-    assert cfg.experiment == "lln"
-    assert cfg.n == [15, 60]
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+_FIXED_POINT_DOCS = {
+    **{path.name: path for path in sorted(CONFIGS.glob("*.json"))},
+    "critical": _doc(experiment="critical",
+                     model=dict(_doc()["model"], n=20, p=0.5),
+                     run=dict(_doc()["run"], replicates=5)),
+    "independence": _doc(experiment="independence",
+                         run=dict(_doc()["run"], replicates=10),
+                         options={"m_vertices": 3}),
+}
+
+
+@pytest.mark.parametrize("name", _FIXED_POINT_DOCS)
+def test_resolved_config_is_a_fixed_point(name):
+    doc = _FIXED_POINT_DOCS[name]
+    cfg = validate_config(load_config(doc) if isinstance(doc, Path) else doc)
     again = validate_config(cfg.resolved())
     assert again == cfg
     # and it survives a JSON round trip untouched
@@ -126,7 +137,7 @@ def _refused(experiment=None, model=None, run=None, options=None):
      "model.p: the critical experiment requires p = 0.5"),
     (_refused("critical", model={"p": 0.5, "scaling": "mean_field"},
               run={"replicates": 5}),
-     "model.scaling: the critical experiment requires scaling = 'critical'"),
+     "model.scaling: experiment 'critical' requires scaling = 'critical'"),
     (_refused("lln", model={"n": [15, 60], "scaling": "critical"},
               run={"replicates": 3}),
      "model.scaling: experiment 'lln' requires scaling = 'mean_field'"),
@@ -400,7 +411,10 @@ def test_plot_data_regenerates_verify_output(tmp_path, capsys):
     [],
     {"experiment": "lln", "params": {}, "tolerances": {}, "tables": {},
      "checks": []},
-], ids=["no-experiment", "not-an-object", "lln-without-tables"])
+    {"experiment": "critical", "params": {}, "tolerances": {}, "tables": {},
+     "checks": []},
+], ids=["no-experiment", "not-an-object", "lln-without-tables",
+        "critical-without-tables"])
 def test_plot_data_refuses_a_file_that_is_not_a_report(tmp_path, capsys,
                                                        data):
     # exit 1 means a FAIL verdict, so a bad input must not crash into it
@@ -460,8 +474,9 @@ def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
     if command == "plot-data":
         report = tmp_path / "report.json"
         report.write_text(json.dumps(
-            {"experiment": "critical", "params": {}, "tolerances": {},
-             "tables": {}, "checks": []}), encoding="utf-8")
+            {"experiment": "lln", "params": {}, "tolerances": {},
+             "tables": {"sup_errors": {}, "medians": {}}, "checks": []}),
+            encoding="utf-8")
         argv = ["plot-data", str(report),
                 "--out", str(blocker / "sub" / "plotdata.csv")]
     else:
