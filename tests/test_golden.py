@@ -6,9 +6,10 @@ diagnostics at fixed seeds, for both backends under the exponential kernel
 report.json text of every experiment (both critical modes) at toy scale on
 both backends, and of the plotdata.csv text that `plot-data` writes from
 each such report.json; and of the fluctuation-limit sampler's paths, terminal
-batches and exact terminal covariance in both kernel modes.  A refactor of
-the event loops, the grid recorder, the experiment drivers or the
-fluctuation integrator must reproduce every digest; a change that alters the RNG
+batches and exact terminal covariance in both kernel modes; and of the files
+the `simulate`, `meanfield` and `fluctuations` commands write.  A refactor of
+the event loops, the grid recorder, the experiment drivers, the fluctuation
+integrator or the command line must reproduce every digest; a change that alters the RNG
 stream layout or float rounding of these outputs must say so in CHANGES.md
 and regenerate the table with
 
@@ -21,17 +22,20 @@ under "machine" in the table; everywhere the paths are also checked against a
 brute-force reconvolution of the spike trains at a tight tolerance.
 """
 
+import contextlib
 import functools
 import hashlib
 import json
 import platform
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hawkes_meanfield.analysis import report_from_dict, run_experiment
-from hawkes_meanfield.cli import _json_text, _plot_csv
+from hawkes_meanfield.cli import _json_text, _plot_csv, main
 from hawkes_meanfield.fluctuations import (sample_terminal_fluctuations,
                                            simulate_fluctuations,
                                            terminal_covariance)
@@ -221,6 +225,47 @@ def _fluct_hashes(case):
     return out
 
 
+# command-line case -> (command, model/run overrides of _CLI_DOC, extra argv)
+_CLI_DOC = {"model": {"n": 25, "p": 0.8, "q": 0.5,
+                      "kernel": {"exponential": {"rate": 1.0}},
+                      "transfer": {"arctan": {}}},
+            "run": {"horizon": 2.0, "replicates": 3, "seed": 404}}
+# a triangle on [0, 1.5]: at n = 25 a table close to e^{-u} would accept
+# the same candidates as the exponential kernel
+_CLI_TAB = {"tabulated": {"nodes": [0.0, 0.5, 1.0, 1.5],
+                          "values": [3.0, 2.0, 1.0, 0.0]}}
+_CLI_CASES = {
+    **{f"simulate-{backend}{name}": (
+        "simulate", {"model": model, "run": dict(run, backend=backend)},
+        ["--jobs", str(jobs)])
+       for backend in BACKENDS
+       for name, model, run, jobs in (
+           ("", {}, {}, 1),
+           ("-tab", {"kernel": _CLI_TAB}, {}, 1),
+           ("-net_seed-jobs1", {"kernel": _CLI_TAB}, {"net_seed": 11}, 1),
+           ("-net_seed-jobs2", {"kernel": _CLI_TAB}, {"net_seed": 11}, 2))},
+    "meanfield": ("meanfield", {"run": {"dt": 0.0625}}, []),
+    "fluctuations": ("fluctuations", {"run": {"dt": 0.0625}}, []),
+}
+
+
+def _cli_hashes(case, workdir):
+    """{file name: SHA-256} of the CSV files the case's command writes.
+
+    manifest.json is left out: it holds the tool version.
+    """
+    command, over, extra = _CLI_CASES[case]
+    doc = {section: dict(_CLI_DOC[section], **over.get(section, {}))
+           for section in _CLI_DOC}
+    cfg = Path(workdir) / f"{case}.json"
+    cfg.write_text(json.dumps(doc), encoding="utf-8")
+    out = Path(workdir) / case
+    assert main([command, "--config", str(cfg), "--out", str(out)]
+                + extra) == 0
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("*.csv"))}
+
+
 def _check_trains_and_diagnostics(case):
     expected = _table()["cases"][case]
     got = _hashes(_run(*_cases()[case])[2])
@@ -278,6 +323,14 @@ def test_plotdata_digests(case):
     assert _plotdata_digest(case) == table["plotdata"][case]
 
 
+@pytest.mark.parametrize("case", sorted(_CLI_CASES))
+def test_cli_artifact_digests(case, tmp_path):
+    table = _table()
+    if _machine() != table["machine"]:
+        pytest.skip(f"command-line digests were taken on {table['machine']}")
+    assert _cli_hashes(case, tmp_path) == table["cli"][case]
+
+
 @pytest.mark.parametrize("case", _fluct_cases())
 def test_fluctuation_digests(case):
     table = _table()
@@ -287,6 +340,10 @@ def test_fluctuation_digests(case):
 
 
 if __name__ == "__main__":
+    # the commands report on stdout, which carries the table
+    with tempfile.TemporaryDirectory() as workdir, \
+            contextlib.redirect_stdout(sys.stderr):
+        cli = {case: _cli_hashes(case, workdir) for case in sorted(_CLI_CASES)}
     table = {"machine": _machine(),
              "cases": {case: _hashes(_run(*args)[2])
                        for case, args in sorted(_cases().items())},
@@ -295,5 +352,6 @@ if __name__ == "__main__":
              "plotdata": {case: _plotdata_digest(case)
                           for case in _report_cases()},
              "fluctuations": {case: _fluct_hashes(case)
-                              for case in _fluct_cases()}}
+                              for case in _fluct_cases()},
+             "cli": cli}
     print(json.dumps(table, indent=1, sort_keys=True))
