@@ -361,10 +361,11 @@ def lln_verdicts(tables, tolerances):
 
 
 def _lln_plot_rows(tables):
-    rows = [row for n, errs in tables["sup_errors"].items()
-            for row in _by_replicate(f"sup_error[n={n}]", errs)]
-    return rows + [("median_sup_error", n, _fmt(v), "")
-                   for n, v in tables["medians"].items()]
+    sizes = [str(n) for n in tables["sizes"]]
+    rows = [row for n in sizes for row in _by_replicate(
+        f"sup_error[n={n}]", tables["sup_errors"][n])]
+    return rows + [("median_sup_error", n, _fmt(tables["medians"][n]), "")
+                   for n in sizes]
 
 
 # ----------------------------------------------------------------------
@@ -632,8 +633,8 @@ def corollary_verdicts(tables, tolerances):
 
 
 def _corollary_plot_rows(tables):
-    rows = [row for n, sups in tables["sup_stats"].items()
-            for row in _by_replicate(f"sup_stat[n={n}]", sups)]
+    rows = [row for n in tables["sizes"] for row in _by_replicate(
+        f"sup_stat[n={n}]", tables["sup_stats"][str(n)])]
     return (rows + _by_replicate("x0_terminal", tables["root_n_stat"]["values"])
             + _by_replicate("xu_terminal", tables["coupling"]["signed_values"]))
 
@@ -860,9 +861,9 @@ def critical_verdicts(tables, tolerances):
 def _critical_plot_rows(tables):
     """Paths against t (complementary: also the mean drifts), then scalars."""
     t_grid = [_fmt(t) for t in tables["t_grid"]]
-    rows = [(name, t, _fmt(v), str(r))
-            for name, reps in tables["series"].items()
-            for r, path in enumerate(reps) for t, v in zip(t_grid, path)]
+    rows = [(name, t, _fmt(v), str(r)) for name in _CRITICAL_SERIES
+            for r, path in enumerate(tables["series"][name])
+            for t, v in zip(t_grid, path)]
     scalars = ["slope_diag", "slope_target", "slope_cross"]
     if tables["mode"] == "complementary":
         rows += [(name, t, _fmt(v), "")
@@ -1017,8 +1018,9 @@ def independence_verdicts(tables, tolerances):
 
 def _independence_plot_rows(tables):
     return [(f"count[n={n},vertex={j}]", "", _fmt(v), str(r))
-            for n, mat in tables["counts"].items()
-            for r, row in enumerate(mat) for j, v in enumerate(row)]
+            for n in tables["sizes"]
+            for r, row in enumerate(tables["counts"][str(n)])
+            for j, v in enumerate(row)]
 
 
 # All that config and cli know of an experiment: config reads its size form

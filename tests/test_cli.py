@@ -394,11 +394,30 @@ def test_verify_writes_consistent_artifacts(tmp_path, capsys):
             (tmp_path / "v2" / name).read_bytes()
 
 
-def test_plot_data_regenerates_verify_output(tmp_path, capsys):
-    doc = _doc(experiment="lln", model=dict(_doc()["model"], n=[15, 60]))
-    doc["run"].update(horizon=1.5, replicates=3, seed=101)
+# report.json stores its keys sorted, and "12" < "9": the plot rows must
+# follow the stored lists, not the order of a reloaded mapping
+_PLOT_CASES = {
+    "lln": ("lln", [9, 12], {"replicates": 3}, {}, {}),
+    "corollary": ("corollary", [9, 12], {"replicates": 8}, {}, {}),
+    "independence": ("independence", [9, 12], {"replicates": 10}, {}, {}),
+    "clt": ("clt", 12, {"replicates": 8}, {"limit_samples": 100}, {}),
+    "critical-random": ("critical", 12, {"replicates": 5}, {},
+                        {"p": 0.5, "scaling": "critical"}),
+    "critical-complementary": ("critical", 12, {"replicates": 5},
+                               {"complementary": True},
+                               {"p": 0.5, "scaling": "critical"}),
+}
+
+
+@pytest.mark.parametrize("case", _PLOT_CASES)
+def test_plot_data_regenerates_verify_output(tmp_path, capsys, case):
+    experiment, n, run, options, model = _PLOT_CASES[case]
+    doc = _doc(experiment=experiment, options=options,
+               model=dict(_doc()["model"], n=n, **model))
+    doc["run"].update(horizon=1.0, seed=101, **run)
     cfg = _write(tmp_path, doc)
-    main(["verify", "--config", cfg, "--out", str(tmp_path / "v")])
+    assert main(["verify", "--config", cfg,
+                 "--out", str(tmp_path / "v")]) in (0, 1)
     capsys.readouterr()
     assert main(["plot-data", str(tmp_path / "v"),
                  "--out", str(tmp_path / "again.csv")]) == 0
@@ -475,7 +494,8 @@ def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
         report = tmp_path / "report.json"
         report.write_text(json.dumps(
             {"experiment": "lln", "params": {}, "tolerances": {},
-             "tables": {"sup_errors": {}, "medians": {}}, "checks": []}),
+             "tables": {"sizes": [], "sup_errors": {}, "medians": {}},
+             "checks": []}),
             encoding="utf-8")
         argv = ["plot-data", str(report),
                 "--out", str(blocker / "sub" / "plotdata.csv")]
