@@ -11,8 +11,9 @@ Seed layout: replicate r at the b-th entry of an experiment's sizes (b = 0
 for the single-size clt and critical) uses replicate_seed(seed,
 b * replicates + r), from which both the network and the event noise draw
 their disjoint streams.  The one fixed network of complementary critical
-runs uses net_seed, by default replicate_seed(seed, 1 << 20).  `_replicates`
-is the only loop over replicates.
+runs uses net_seed, by default replicate_seed(seed, 1 << 20).  `_replicate`
+is the one recipe of a replicate: `_replicates` loops over it for the
+experiments, and the `simulate` command maps it over its replicates.
 """
 
 import logging
@@ -224,28 +225,36 @@ def _require_exponential(name, kernel):
           f"exponential kernel; got a {kernel.kind} kernel")
 
 
-def _replicates(run, reduce, *, sizes, replicates, seed, kernel, transfer,
-                horizon, dt, p, q, net=None, **record):
+def _replicate(run, reduce, index, *, n, seed, kernel, transfer, horizon, dt,
+               p, q, net=None, **record):
+    """reduce(n, net, result) of the replicate at seed index `index`.
+
+    The replicate simulates a fresh sample_network(n, p, q, rs), or the
+    fixed `net` when one is given, under SimulationConfig(horizon, rs, dt,
+    **record), where rs = replicate_seed(seed, index).  Its network and
+    result are released on return, so only reduce's value outlives it.
+    Module level, so `simulate` can map it over a process pool.
+    """
+    rs = replicate_seed(seed, index)
+    if net is None:
+        net = sample_network(n, p, q, rs)
+    cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt, **record)
+    return reduce(n, net, run(net, kernel, transfer, cfg))
+
+
+def _replicates(run, reduce, *, sizes, replicates, **common):
     """[[reduce(n, net, result) for each replicate] for each size].
 
-    Seeds follow the layout in the module docstring.  Each replicate
-    simulates a fresh sample_network(n, p, q, seed), or the fixed `net` when
-    one is given, under SimulationConfig(horizon, seed, dt, **record).  The
-    replicate's network and result are released before the next network is
-    drawn, so reduce must return small values only: one replicate is alive
-    at a time.
+    Replicate r at the b-th size is `_replicate` at seed index
+    b * replicates + r (the layout in the module docstring); `common`
+    passes the rest of `_replicate`'s keywords.  The replicates run one
+    after another, so reduce must return small values only: one replicate
+    is alive at a time.
     """
     out = []
     for block, n in enumerate(sizes):
-        values = []
-        for r in range(replicates):
-            rs = replicate_seed(seed, block * replicates + r)
-            rep_net = sample_network(n, p, q, rs) if net is None else net
-            cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt, **record)
-            res = run(rep_net, kernel, transfer, cfg)
-            values.append(reduce(n, rep_net, res))
-            del rep_net, res
-        out.append(values)
+        out.append([_replicate(run, reduce, block * replicates + r, n=n,
+                               **common) for r in range(replicates)])
         log.info("n=%d: %d replicate(s) done", n, replicates)
     return out
 

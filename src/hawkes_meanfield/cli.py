@@ -28,20 +28,19 @@ from pathlib import Path
 
 from . import __version__
 from .analysis import (_BACKENDS, _EXPERIMENTS, _downsample_stride,
-                       report_from_dict, run_experiment)
+                       _replicate, report_from_dict, run_experiment)
 from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, load_config,
                      read_json, validate_config)
 from .errors import ConfigError, ToolkitError
 from .fluctuations import simulate_fluctuations
 from .network import sample_network
 from .rng import replicate_seed
-from .simulator import SimulationConfig, format_spike_trains
+from .simulator import format_spike_trains
 from .volterra import solve_mean_field
 
 __all__ = ["main"]
 
 TOOL_NAME = "hawkes-meanfield"
-PLOT_HEADER = "series,t,value,replicate"
 
 
 def _write_atomic(path, text):
@@ -54,6 +53,13 @@ def _write_atomic(path, text):
 
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _plotdata_text(rows):
+    """Long-format CSV of (series, t, value, replicate) string rows."""
+    lines = ["# schema: plotdata v1", "series,t,value,replicate"]
+    lines += [",".join(row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _resolve_jobs(args):
@@ -140,16 +146,8 @@ def _write_manifest(outdir, command, cfg, jobs=1):
 # simulate
 # ----------------------------------------------------------------------
 
-def _events_csv(doc, r):
-    """Event file content for replicate r; module level so pools can pickle."""
-    cfg = validate_config(doc)
-    rs = replicate_seed(cfg.seed, r)
-    net = sample_network(cfg.n, cfg.p, cfg.q,
-                         cfg.net_seed if cfg.net_seed is not None else rs)
-    sim_cfg = SimulationConfig(horizon=cfg.horizon, seed=rs,
-                               scaling=cfg.scaling, dt=cfg.dt)
-    res = _BACKENDS[cfg.backend](net, cfg.build_kernel(),
-                                 cfg.build_transfer(), sim_cfg)
+def _events_csv(n, net, res):
+    """A replicate's event file; module level so pools can pickle it."""
     return format_spike_trains(res.trains, comment="schema: events v1")
 
 
@@ -159,13 +157,20 @@ def _cmd_simulate(args):
         raise ConfigError("model.n: simulate takes a single size")
     outdir = _ensure_outdir(cfg, args.made_dirs)
     jobs = _resolve_jobs(args)
-    doc = cfg.resolved()
-    worker = functools.partial(_events_csv, doc)
+    net = (None if cfg.net_seed is None
+           else sample_network(cfg.n, cfg.p, cfg.q, cfg.net_seed))
+    # only the event times are written, and they do not depend on the
+    # recording grid: record just {0, T} and no vertex input
+    worker = functools.partial(
+        _replicate, _BACKENDS[cfg.backend], _events_csv, n=cfg.n,
+        seed=cfg.seed, kernel=cfg.build_kernel(),
+        transfer=cfg.build_transfer(), horizon=cfg.horizon, dt=cfg.horizon,
+        p=cfg.p, q=cfg.q, net=net, scaling=cfg.scaling, tracked_vertices=())
     if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             texts = list(pool.map(worker, range(cfg.replicates)))
     else:
-        texts = [worker(r) for r in range(cfg.replicates)]
+        texts = list(map(worker, range(cfg.replicates)))
     for r, text in enumerate(texts):
         _write_atomic(outdir / f"events_r{r:03d}.csv", text)
     _write_manifest(outdir, "simulate", cfg, jobs)
@@ -204,19 +209,17 @@ def _cmd_fluctuations(args):
                                  cfg.dt)
     n_comp = len(cfg.tracked_vertices) or 2
     stride = _downsample_stride(mean_path.grid)
+    names = ["kbar"] + [f"k{k + 1}" for k in range(n_comp)]
     rows = []
     for r in range(cfg.replicates):
         sample = simulate_fluctuations(mean_path, kernel, transfer,
                                        cfg.p, cfg.q, n_comp,
                                        cfg.seed, sample_index=r)
-        grid = sample.grid[::stride]
-        for t, v in zip(grid.tolist(), sample.kbar[::stride].tolist()):
-            rows.append(f"kbar,{t!r},{v!r},{r}")
-        for k in range(n_comp):
-            for t, v in zip(grid.tolist(), sample.k[k, ::stride].tolist()):
-                rows.append(f"k{k + 1},{t!r},{v!r},{r}")
-    text = "\n".join(["# schema: plotdata v1", PLOT_HEADER] + rows) + "\n"
-    _write_atomic(outdir / "fluctuations.csv", text)
+        grid = [repr(t) for t in sample.grid[::stride].tolist()]
+        for name, path in zip(names, [sample.kbar, *sample.k]):
+            rows += [(name, t, repr(v), str(r))
+                     for t, v in zip(grid, path[::stride].tolist())]
+    _write_atomic(outdir / "fluctuations.csv", _plotdata_text(rows))
     _write_manifest(outdir, "fluctuations", cfg)
     print(f"wrote {outdir / 'fluctuations.csv'} "
           f"({cfg.replicates} sample(s), {n_comp} vertex component(s))")
@@ -249,10 +252,8 @@ def _cmd_verify(args):
 def _plot_csv(report):
     """Long-format rows (series, t, value, replicate) that the report's
     experiment reads from its stored tables."""
-    rows = _EXPERIMENTS[report.experiment].plot_rows(report.tables)
-    lines = ["# schema: plotdata v1", PLOT_HEADER]
-    lines += [",".join(row) for row in rows]
-    return "\n".join(lines) + "\n"
+    return _plotdata_text(
+        _EXPERIMENTS[report.experiment].plot_rows(report.tables))
 
 
 def _cmd_plot_data(args):
