@@ -99,7 +99,7 @@ def _pure(obj):
     if isinstance(obj, (list, tuple)):
         return [_pure(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_pure(v) for v in obj.tolist()]
+        return obj.tolist()  # nested lists of Python scalars
     if isinstance(obj, np.generic):
         return obj.item()
     return obj

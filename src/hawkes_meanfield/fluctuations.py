@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ContractError, DerivativeUnavailableError, ParameterError
 from .kernels import Kernel, TransferFunction
 from .rng import FLUCT, stream
-from .volterra import IntensityPath
+from .volterra import IntensityPath, _check_pq
 
 __all__ = [
     "FluctuationSample",
@@ -69,8 +69,7 @@ class FluctuationSample:
 
 
 def _check_inputs(mean_path, transfer, p, q, n_vertices):
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
+    _check_pq(p, q)
     if n_vertices < 0:
         raise ParameterError("n_vertices must be >= 0")
     if not transfer.has_derivative:

@@ -53,6 +53,11 @@ class IntensityPath:
         object.__setattr__(self, "values", v)
 
 
+def _check_pq(p, q):
+    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
+        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
+
+
 def _resolve_grid(horizon, dt):
     if not 0.0 <= horizon < math.inf:
         raise ParameterError(
@@ -83,8 +88,7 @@ def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,
     SchemeMismatchError when ode_rk4 is requested for a non-exponential
     kernel.
     """
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
+    _check_pq(p, q)
     grid, m = _resolve_grid(float(horizon), dt)
     c = (2.0 * p - 1.0) * q
     if scheme not in ("volterra_trapezoid", "ode_rk4"):
@@ -171,10 +175,9 @@ def fixed_point(kernel: Kernel, transfer: TransferFunction, p: float, q: float):
     polished with Brent's method, a warning is emitted, and all roots found
     are returned as an array.
     """
+    _check_pq(p, q)
     from scipy.optimize import brentq
 
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
     a = (2.0 * p - 1.0) * q * kernel.l1_norm
     if a == 0.0:
         return 0.0
