@@ -264,6 +264,41 @@ def test_simulate_overrides_change_output(tmp_path):
                  "--backend", "time_change", "--replicates", "1"]) == 0
 
 
+def test_simulate_output_ignores_the_recording_grid(tmp_path):
+    # simulate writes event times only, which no recording setting changes
+    assert main(["simulate", "--config", _write(tmp_path, _doc()),
+                 "--out", str(tmp_path / "a")]) == 0
+    doc = _doc()
+    doc["run"].update(dt=0.01, tracked_vertices=[0, 3])
+    assert main(["simulate", "--config", _write(tmp_path, doc, "b.json"),
+                 "--out", str(tmp_path / "b")]) == 0
+    for r in range(2):
+        name = f"events_r{r:03d}.csv"
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("net_seed, in_cli, in_replicates",
+                         [(None, 0, 3), (11, 1, 0)])
+def test_simulate_draws_a_fixed_network_once(tmp_path, monkeypatch,
+                                             net_seed, in_cli, in_replicates):
+    calls = {"cli": 0, "analysis": 0}
+
+    def counting(module):
+        def draw(*args):
+            calls[module] += 1
+            return sample_network(*args)
+        return draw
+
+    monkeypatch.setattr(cli, "sample_network", counting("cli"))
+    monkeypatch.setattr(analysis, "sample_network", counting("analysis"))
+    doc = _doc()
+    doc["run"].update(replicates=3, net_seed=net_seed)
+    assert main(["simulate", "--config", _write(tmp_path, doc),
+                 "--out", str(tmp_path / "a"), "--jobs", "1"]) == 0
+    assert calls == {"cli": in_cli, "analysis": in_replicates}
+
+
 def test_simulate_needs_a_single_size(tmp_path, capsys):
     cfg = _write(tmp_path, _doc(model=dict(_doc()["model"], n=[10, 20])))
     assert main(["simulate", "--config", cfg,
