@@ -12,8 +12,7 @@ for the single-size clt and critical) uses replicate_seed(seed,
 b * replicates + r), from which both the network and the event noise draw
 their disjoint streams.  The one fixed network of complementary critical
 runs uses net_seed, by default replicate_seed(seed, 1 << 20).  `_replicate`
-is the one recipe of a replicate: `_replicates` loops over it for the
-experiments, and the `simulate` command maps it over its replicates.
+runs one replicate; `_replicates` and the `simulate` command loop over it.
 """
 
 import logging
@@ -227,30 +226,17 @@ def _require_exponential(name, kernel):
 
 def _replicate(run, reduce, index, *, n, seed, kernel, transfer, horizon, dt,
                p, q, net=None, **record):
-    """reduce(n, net, result) of the replicate at seed index `index`.
-
-    The replicate simulates a fresh sample_network(n, p, q, rs), or the
-    fixed `net` when one is given, under SimulationConfig(horizon, rs, dt,
-    **record), where rs = replicate_seed(seed, index).  Its network and
-    result are released on return, so only reduce's value outlives it.
-    Module level, so `simulate` can map it over a process pool.
-    """
+    """reduce(n, net, result) for a fresh sample_network(n, p, q, rs), or the
+    fixed `net`, simulated at seed rs = replicate_seed(seed, index)."""
     rs = replicate_seed(seed, index)
-    if net is None:
-        net = sample_network(n, p, q, rs)
+    net = sample_network(n, p, q, rs) if net is None else net
     cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt, **record)
     return reduce(n, net, run(net, kernel, transfer, cfg))
 
 
 def _replicates(run, reduce, *, sizes, replicates, **common):
-    """[[reduce(n, net, result) for each replicate] for each size].
-
-    Replicate r at the b-th size is `_replicate` at seed index
-    b * replicates + r (the layout in the module docstring); `common`
-    passes the rest of `_replicate`'s keywords.  The replicates run one
-    after another, so reduce must return small values only: one replicate
-    is alive at a time.
-    """
+    """[[_replicate at seed index b * replicates + r for each r] for the b-th
+    size], one alive at a time: reduce must return small values only."""
     out = []
     for block, n in enumerate(sizes):
         out.append([_replicate(run, reduce, block * replicates + r, n=n,
@@ -407,11 +393,9 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     exchangeable structure (diagonal strictly above off-diagonal when
     0 < q < 1).
 
-    Only the terminal input is read, so each replicate is simulated with
-    dt=horizon: it records the two grid points {0, T}.  The event times do
-    not depend on the grid and T is recorded at the horizon either way, so
-    the values equal those of the full grid bit for bit.  dt sets the grid
-    of the mean-field solve and of terminal_covariance.
+    Only the terminal input is read, so each replicate records just the
+    grid {0, T}, with the values of any finer grid (see SimulationConfig).
+    dt sets the grid of the mean-field solve and of terminal_covariance.
     """
     _clt_contract(n=n, p=p, transfer=transfer, replicates=replicates,
                   limit_samples=limit_samples, n_tracked=n_tracked)
@@ -909,9 +893,8 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     histogram must pass a chi-square test against the Poisson law with mean
     int_0^T h(I) ds.
 
-    Only the event counts are read, so each replicate is simulated with
-    dt=horizon and records just the grid points {0, T}; dt sets the grid
-    of the mean-field solve behind the Poisson mean.
+    Only the event counts are read, so each replicate records just the grid
+    {0, T}; dt sets the grid of the mean-field solve behind the Poisson mean.
     """
     _independence_contract(sizes=sizes, p=p, replicates=replicates,
                            m_vertices=m_vertices)

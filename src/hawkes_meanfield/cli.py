@@ -159,8 +159,7 @@ def _cmd_simulate(args):
     jobs = _resolve_jobs(args)
     net = (None if cfg.net_seed is None
            else sample_network(cfg.n, cfg.p, cfg.q, cfg.net_seed))
-    # only the event times are written, and they do not depend on the
-    # recording grid: record just {0, T} and no vertex input
+    # only event times are written, and no recording grid changes them
     worker = functools.partial(
         _replicate, _BACKENDS[cfg.backend], _events_csv, n=cfg.n,
         seed=cfg.seed, kernel=cfg.build_kernel(),
@@ -209,13 +208,13 @@ def _cmd_fluctuations(args):
                                  cfg.dt)
     n_comp = len(cfg.tracked_vertices) or 2
     stride = _downsample_stride(mean_path.grid)
+    grid = [repr(t) for t in mean_path.grid[::stride].tolist()]
     names = ["kbar"] + [f"k{k + 1}" for k in range(n_comp)]
     rows = []
     for r in range(cfg.replicates):
         sample = simulate_fluctuations(mean_path, kernel, transfer,
                                        cfg.p, cfg.q, n_comp,
                                        cfg.seed, sample_index=r)
-        grid = [repr(t) for t in sample.grid[::stride].tolist()]
         for name, path in zip(names, [sample.kbar, *sample.k]):
             rows += [(name, t, repr(v), str(r))
                      for t, v in zip(grid, path[::stride].tolist())]
@@ -250,8 +249,7 @@ def _cmd_verify(args):
 # ----------------------------------------------------------------------
 
 def _plot_csv(report):
-    """Long-format rows (series, t, value, replicate) that the report's
-    experiment reads from its stored tables."""
+    """The rows the report's experiment reads from its stored tables."""
     return _plotdata_text(
         _EXPERIMENTS[report.experiment].plot_rows(report.tables))
 

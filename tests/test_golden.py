@@ -9,9 +9,9 @@ each such report.json; and of the fluctuation-limit sampler's paths, terminal
 batches and exact terminal covariance in both kernel modes; and of the files
 the `simulate`, `meanfield` and `fluctuations` commands write.  A refactor of
 the event loops, the grid recorder, the experiment drivers, the fluctuation
-integrator or the command line must reproduce every digest; a change that alters the RNG
-stream layout or float rounding of these outputs must say so in CHANGES.md
-and regenerate the table with
+integrator or the command line must reproduce every digest; a change that
+alters the RNG stream layout or float rounding of these outputs must say so
+in CHANGES.md and regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
 
