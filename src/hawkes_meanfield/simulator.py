@@ -16,8 +16,8 @@ one loop, whatever the kernel.
 The loops read the input S through three closures built by _setup:
 at(t, i) returns S_i(t-); fire(t, i) records every pending grid point
 g <= t and then adds vertex i's event at t; close(horizon) records the rest
-of the grid and returns (tracked_input, mean_input, mean_rate, full_input,
-input_range).
+of the grid and returns what was recorded as a dict keyed by
+SimulationResult field names, which the result takes as it is.
 Recording before the event's jump makes every recorded value a left limit:
 a grid point that coincides with an event time gets the pre-jump input.
 
@@ -85,10 +85,11 @@ class SimulationConfig:
     both need the exponential kernel.
 
     Sup-norm statistics need neither: with the exponential kernel every
-    result carries input_range, the smallest and largest vertex input at
-    each grid time in one (2, len(grid)) array.  Every recorded input is the
-    undecayed state times one positive factor per grid time, and correctly
-    rounded multiplication and subtraction are monotone, so
+    result without record_full carries input_range, the smallest and largest
+    vertex input at each grid time in one (2, len(grid)) array (a record_full
+    result reads them as full_input.min/max(axis=0)).  Every recorded input
+    is the undecayed state times one positive factor per grid time, and
+    correctly rounded multiplication and subtraction are monotone, so
     max_i |S_i(g) - c| = max(|min_i S_i(g) - c|, |max_i S_i(g) - c|) bit for
     bit, without the 8 N bytes per grid time of record_full.
     """
@@ -160,6 +161,9 @@ class SpikeTrains:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """One run: its network, its spike trains and what its config recorded
+    (an optional field the run did not record stays None)."""
+
     net: NetworkConfiguration
     transfer: TransferFunction
     trains: SpikeTrains
@@ -168,7 +172,7 @@ class SimulationResult:
     mean_input: np.ndarray               # (len(grid),)
     mean_rate: np.ndarray | None = None  # (len(grid),) if recorded
     full_input: np.ndarray | None = None  # (n, len(grid)) if recorded
-    input_range: np.ndarray | None = None  # (2, len(grid)) if exponential
+    input_range: np.ndarray | None = None  # (2, len(grid)) if recorded
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -180,13 +184,12 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     stores the undecayed state with its sync time, and close multiplies every
     recorded column by exp(-rate * (g - sync)) once.  mean_rate is the
     exception: h is not linear, so it is taken from the decayed state at the
-    crossing.  The input range is stored as the undecayed state's min and
-    max: a positive factor keeps their order, so decaying them at close gives
-    the extremes of the decayed column.  With record_full it is read from
-    the decayed matrix at close instead: the same values by the same order
-    argument, without two reductions per crossing (about 8% of the wall time
-    of a critical run at N = 500).  The closures keep their state in local
-    cells, not attributes: at and fire run once per candidate and per event.
+    crossing.  One input array is recorded per run: the whole state
+    (full_input) under record_full, or else its min and max (input_range),
+    which a positive factor keeps in order, so decaying them at close gives
+    the extremes of the decayed column.  The closures keep their state in
+    local cells, not attributes: at and fire run once per candidate and per
+    event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -206,8 +209,8 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     tracked_paths = np.zeros((len(tracked), m1))
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
-    full = np.zeros((n, m1)) if cfg.record_full else None
-    extremes = np.zeros((2, m1)) if full is None else None
+    full = cfg.record_full
+    inputs = np.zeros((n if full else 2, m1))
     sync = np.zeros(m1)
     next_idx = 0
     next_t = grid_list[0]
@@ -220,11 +223,11 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         tracked_paths[:, a:j] = state[tracked, None]
         mean_input[a:j] = np.add.reduce(state) / n
         sync[a:j] = t_sync
-        if full is not None:
-            full[:, a:j] = state[:, None]
+        if full:
+            inputs[:, a:j] = state[:, None]
         else:
-            extremes[0, a:j] = state.min()
-            extremes[1, a:j] = state.max()
+            inputs[0, a:j] = state.min()
+            inputs[1, a:j] = state.max()
         if mean_rate is not None:
             decays = np.exp(-lam * (grid[a:j] - t_sync))
             mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
@@ -245,17 +248,17 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         t_sync = t
 
     def close(horizon):
-        nonlocal tracked_paths, mean_input, full, extremes
+        nonlocal tracked_paths, mean_input, inputs
         record(horizon)
         decays = np.exp(-lam * (grid - sync))
         tracked_paths *= decays
         mean_input *= decays
-        if full is not None:
-            full *= decays
-            extremes = np.stack((full.min(axis=0), full.max(axis=0)))
-        else:
-            extremes *= decays
-        return tracked_paths, mean_input, mean_rate, full, extremes
+        inputs *= decays
+        recorded = {"tracked_input": tracked_paths, "mean_input": mean_input,
+                    "full_input" if full else "input_range": inputs}
+        if mean_rate is not None:
+            recorded["mean_rate"] = mean_rate
+        return recorded
 
     return at, fire, close
 
@@ -265,8 +268,8 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
 
     S_i(t-) is re-evaluated from the events strictly before t that lie
     within the kernel's truncation lag.  fire records the pending grid points
-    as final values before it appends the event; close returns no mean_rate
-    and no full input (_setup rejects asking for them).
+    as final values before it appends the event; close returns the tracked
+    and mean input only (_setup rejects asking for more).
 
     Each buffered event keeps its source's coefficient in cbuf, and target
     i's weights are gathered from row i of a contiguous transposed copy of
@@ -346,7 +349,7 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
 
     def close(horizon):
         record(horizon)
-        return tracked_paths, mean_input, None, None, None
+        return {"tracked_input": tracked_paths, "mean_input": mean_input}
 
     return at, fire, close
 
@@ -356,8 +359,7 @@ def _setup(net, kernel, transfer, cfg):
 
     at(t, i) is S_i(t-); fire(t, i) records the grid points up to t and then
     adds vertex i's event at t; close(horizon) records the rest of the grid
-    and returns (tracked_input, mean_input, mean_rate, full_input,
-    input_range).
+    and returns the recorded arrays keyed by SimulationResult field names.
     """
     if not isinstance(net, NetworkConfiguration):
         raise ContractError("net must be a NetworkConfiguration")
@@ -381,15 +383,13 @@ def _setup(net, kernel, transfer, cfg):
 
 def _finalize(net, transfer, horizon, grid, recorded, trains, candidates,
               events, ties_nudged):
-    tracked_input, mean_input, mean_rate, full_input, input_range = recorded
     times = tuple(np.asarray(t, dtype=np.float64) for t in trains)
     return SimulationResult(
         net=net, transfer=transfer,
-        trains=SpikeTrains(times=times, horizon=horizon),
-        grid=grid, tracked_input=tracked_input, mean_input=mean_input,
-        mean_rate=mean_rate, full_input=full_input, input_range=input_range,
+        trains=SpikeTrains(times=times, horizon=horizon), grid=grid,
         diagnostics={"candidates": candidates, "events": events,
                      "ties_nudged": ties_nudged},
+        **recorded,
     )
 
 
