@@ -226,17 +226,19 @@ def _require_exponential(name, kernel):
 
 def _replicate(run, reduce, index, *, n, seed, kernel, transfer, horizon, dt,
                p, q, net=None, **record):
-    """reduce(n, net, result) for a fresh sample_network(n, p, q, rs), or the
-    fixed `net`, simulated at seed rs = replicate_seed(seed, index)."""
+    """reduce(result) for a fresh sample_network(n, p, q, rs), or the fixed
+    `net`, simulated at seed rs = replicate_seed(seed, index).  The
+    SimulationConfig fields in `record` ask for what reduce reads and nothing
+    more; reduce finds the network and its size in result.net."""
     rs = replicate_seed(seed, index)
     net = sample_network(n, p, q, rs) if net is None else net
     cfg = SimulationConfig(horizon=horizon, seed=rs, dt=dt, **record)
-    return reduce(n, net, run(net, kernel, transfer, cfg))
+    return reduce(run(net, kernel, transfer, cfg))
 
 
 def _replicates(run, reduce, *, sizes, replicates, **common):
     """[[_replicate at seed index b * replicates + r for each r] for the b-th
-    size], one alive at a time: reduce must return small values only."""
+    size], one result alive at a time: reduce must return small values only."""
     out = []
     for block, n in enumerate(sizes):
         out.append([_replicate(run, reduce, block * replicates + r, n=n,
@@ -310,7 +312,7 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
     tol = _tol(tolerances)
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
 
-    def reduce(n, net, res):
+    def reduce(res):
         # the farthest vertex from I(g) is the lowest or the highest one
         err = float(np.max(np.abs(res.input_range - mean_path.values)))
         return err, res.trains.total_events
@@ -406,7 +408,7 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     i_term = mean_path.values[-1]
     root_n = math.sqrt(n)
 
-    def reduce(n, net, res):
+    def reduce(res):
         terminal = np.concatenate(([res.mean_input[-1]],
                                    res.tracked_input[:, -1]))
         return root_n * (terminal - i_term)
@@ -528,11 +530,11 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
     rate_integral = float(np.trapezoid(transfer(mean_path.values),
                                        mean_path.grid))
 
-    def reduce(n, net, res):
+    def reduce(res):
         """(sup, X^0_T, signed average at T, linearization excess)."""
-        root_n = math.sqrt(n)
-        paths = extract_martingale_paths(res, vertices=(0,))
-        s_term = float(res.tracked_input[0, -1])
+        root_n = math.sqrt(res.net.n)
+        paths = extract_martingale_paths(res, vertices=())
+        s_term = float(res.full_input[0, -1])
         k_term = root_n * (s_term - i_term)
         lhs = abs(root_n * (float(transfer(s_term)) - h_term)
                   - hp_term * k_term)
@@ -544,7 +546,7 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
     runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
                        seed=seed, kernel=kernel, transfer=transfer,
                        horizon=horizon, dt=dt, p=p, q=q,
-                       tracked_vertices=(0,), record_full=True)
+                       tracked_vertices=(), record_full=True)
     sup_stats = {}
     x0_terminal = []
     xu_terminal = []
@@ -704,8 +706,9 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
             net_seed = replicate_seed(seed, 1 << 20)
         fixed_net = build_complementary_network(n, net_seed)
 
-    def reduce(n, net, res):
+    def reduce(res):
         """Per-replicate slopes, cross coefficient and downsampled series."""
+        net = res.net
         paths = extract_martingale_paths(res, vertices=(0, 1))
         ident = np.max(np.abs(paths.m_per_vertex
                               - (paths.m_tilde
@@ -737,7 +740,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
     reps = _replicates(run, reduce, sizes=[n], replicates=replicates,
                        seed=seed, kernel=kernel, transfer=transfer,
                        horizon=horizon, dt=dt, p=p, q=q, net=fixed_net,
-                       scaling="critical", tracked_vertices=(0, 1),
+                       scaling="critical", tracked_vertices=(),
                        record_full=True)[0]
     series = {name: [rep["series"][name] for rep in reps]
               for name in _CRITICAL_SERIES}
@@ -904,7 +907,7 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
     mu = float(np.trapezoid(transfer(mean_path.values), mean_path.grid))
     runs = _replicates(
-        run, lambda n, net, res: res.trains.counts()[:m_vertices].copy(),
+        run, lambda res: res.trains.counts()[:m_vertices].copy(),
         sizes=sizes, replicates=replicates, seed=seed, kernel=kernel,
         transfer=transfer, horizon=horizon, dt=horizon, p=p, q=q,
         tracked_vertices=())

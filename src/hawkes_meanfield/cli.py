@@ -146,7 +146,7 @@ def _write_manifest(outdir, command, cfg, jobs=1):
 # simulate
 # ----------------------------------------------------------------------
 
-def _events_csv(n, net, res):
+def _events_csv(res):
     """A replicate's event file; module level so pools can pickle it."""
     return format_spike_trains(res.trains, comment="schema: events v1")
 

@@ -138,30 +138,44 @@ def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
 
 
 def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
-    # they read the terminal input or the counts; the others read paths
+    # they read the terminal input or the counts; the others read paths.
+    # Each replicate records only what its reduce reads: tracked rows for
+    # clt alone, the input range or the full input, never both
     grids = []
+    recorded = []
     for key, simulate in dict(analysis._BACKENDS).items():
         def spy(net, kernel, transfer, cfg, simulate=simulate):
             res = simulate(net, kernel, transfer, cfg)
             grids.append(res.grid)
+            recorded.append((len(res.tracked_input),
+                             {"range": res.input_range is not None,
+                              "full": res.full_input is not None}))
             return res
         monkeypatch.setitem(analysis._BACKENDS, key, spy)
+    range_only = {"range": True, "full": False}
+    full_only = {"range": False, "full": True}
     calls = [
-        ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3), 2049),
-        ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64), 2),
-        ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8), 2049),
-        ("critical", dict(n=20, replicates=5), 2049),
-        ("critical", dict(n=16, replicates=6, complementary=True), 2049),
+        ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3), 2049,
+         (0, range_only)),
+        ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64), 2,
+         (2, range_only)),
+        ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8), 2049,
+         (0, full_only)),
+        ("critical", dict(n=20, replicates=5), 2049, (0, full_only)),
+        ("critical", dict(n=16, replicates=6, complementary=True), 2049,
+         (0, full_only)),
         ("independence", dict(sizes=[24], p=0.8, q=0.5, replicates=10,
-                              m_vertices=3), 2),
+                              m_vertices=3), 2, (0, range_only)),
     ]
-    for name, kwargs, points in calls:
+    for name, kwargs, points, asked in calls:
         grids.clear()
+        recorded.clear()
         rep = run_experiment(name, kernel=EXP, transfer=ARCTAN, horizon=1.0,
                              seed=1, **kwargs)
         assert grids and {len(g) for g in grids} == {points}, name
         assert all(g[-1] == 1.0 for g in grids), name
         assert rep.params["dt"] is None, name
+        assert recorded == [asked] * len(grids), name
 
 
 def test_linearization_needs_curvature_bound():

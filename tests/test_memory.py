@@ -75,9 +75,10 @@ def test_lln_experiment_peak_below_two_bytes_per_pair(backend):
 
 
 def _one_replicate(n, p, horizon, scaling, vertices):
+    # what one corollary or critical replicate records and extracts
     net = sample_network(n, p, 0.5, seed=7)
     cfg = SimulationConfig(horizon=horizon, seed=7, scaling=scaling,
-                           tracked_vertices=vertices, record_full=True)
+                           tracked_vertices=(), record_full=True)
     res = simulate_thinning(net, KERNELS["exponential"], arctan_transfer(),
                             cfg)
     extract_martingale_paths(res, vertices=vertices)
@@ -90,7 +91,7 @@ def test_experiment_peak_is_one_replicate(experiment):
                   horizon=horizon, seed=7)
     if experiment == "corollary":
         single = _traced_peak(_one_replicate, n, 0.8, horizon, "mean_field",
-                              (0,))
+                              ())
         peak = _traced_peak(lambda: corollary_experiment(
             sizes=[200, n], p=0.8, q=0.5, replicates=8, **common))
     else:
