@@ -119,9 +119,11 @@ def make_check(name, passed, observed, target, tolerance, detail=""):
 class ExperimentReport:
     """Tables plus verdicts from one experiment run.
 
-    tables hold plain data only; checks are derived from tables through the
-    experiment's verdict function and never from transient state, so
-    re-judging a deserialized report reproduces them exactly.
+    Every field holds plain JSON data (what `_report`, make_check and
+    report_from_dict store), so to_dict hands the fields over as they are.
+    checks are derived from tables through the experiment's verdict
+    function and never from transient state, so re-judging a deserialized
+    report reproduces them exactly.
     """
 
     experiment: str
@@ -146,10 +148,10 @@ class ExperimentReport:
     def to_dict(self) -> dict:
         return {
             "experiment": self.experiment,
-            "params": _pure(self.params),
-            "tolerances": _pure(self.tolerances),
-            "tables": _pure(self.tables),
-            "checks": _pure(self.checks),
+            "params": self.params,
+            "tolerances": self.tolerances,
+            "tables": self.tables,
+            "checks": self.checks,
         }
 
 
@@ -177,7 +179,8 @@ def _reverdict(report: ExperimentReport) -> list:
 def _report(name, tol, tables, *, kernel, transfer, **params):
     """The report of experiment `name`, judged from its stored tables."""
     tables = _pure(tables)
-    params.update(kernel=kernel.kind, transfer=transfer.kind)
+    tol = _pure(tol)
+    params = _pure(dict(params, kernel=kernel.kind, transfer=transfer.kind))
     checks = _EXPERIMENTS[name].verdicts(tables, tol)
     return ExperimentReport(name, params, tol, tables, checks)
 

@@ -307,6 +307,23 @@ def test_random_mode_reports_slope_checks():
     assert len(rep.tables["slope_diag"]) == 5
 
 
+def test_to_dict_hands_over_the_stored_plain_data(monkeypatch):
+    # _report, make_check and report_from_dict store plain data already
+    rep = _tiny_lln()
+    calls = []
+    pure = analysis._pure
+
+    def counting(obj):
+        calls.append(obj)
+        return pure(obj)
+
+    monkeypatch.setattr(analysis, "_pure", counting)
+    data = rep.to_dict()
+    assert calls == []
+    assert json.loads(json.dumps(data)) == data
+    assert report_from_dict(data).to_dict() == data
+
+
 def test_report_helpers():
     checks = [make_check("alpha", True, np.float64(1.5), 0.0, np.int64(2)),
               make_check("beta", False, {"z": np.float64(9.0)}, "small", 0.1)]
