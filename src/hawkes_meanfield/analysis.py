@@ -115,6 +115,12 @@ def make_check(name, passed, observed, target, tolerance, detail=""):
     }
 
 
+def _within(name, observed, target, width, detail=""):
+    """The check that observed lies within width of target."""
+    return make_check(name, abs(observed - target) <= width, observed, target,
+                      width, detail)
+
+
 @dataclass(frozen=True)
 class ExperimentReport:
     """Tables plus verdicts from one experiment run.
@@ -453,11 +459,10 @@ def clt_verdicts(tables, tolerances):
     checks = []
 
     def _pooled(label, a, se_a, b, se_b):
-        gap = abs(a - b)
         pooled = math.hypot(se_a, se_b)
-        checks.append(make_check(
-            label, gap <= band * pooled, a, b, band * pooled,
-            detail=f"|gap|={gap:.4g}, pooled SE={pooled:.4g}",
+        checks.append(_within(
+            label, a, b, band * pooled,
+            detail=f"|gap|={abs(a - b):.4g}, pooled SE={pooled:.4g}",
         ))
 
     _pooled("mean-kbar-matches-limit", fin["mean"][0], fin["se_mean"][0],
@@ -605,16 +610,10 @@ def corollary_verdicts(tables, tolerances):
     )]
     stat = tables["root_n_stat"]
     z_band = tolerances["mean_zero_se"]
-    checks.append(make_check(
-        "root-n-statistic-mean-zero",
-        abs(stat["mean"]) <= z_band * stat["se_mean"], stat["mean"], 0.0,
-        z_band * stat["se_mean"],
-    ))
-    checks.append(make_check(
-        "root-n-statistic-variance",
-        abs(stat["var"] - stat["target_var"]) <= z_band * stat["var_se"],
-        stat["var"], stat["target_var"], z_band * stat["var_se"],
-    ))
+    checks.append(_within("root-n-statistic-mean-zero", stat["mean"], 0.0,
+                          z_band * stat["se_mean"]))
+    checks.append(_within("root-n-statistic-variance", stat["var"],
+                          stat["target_var"], z_band * stat["var_se"]))
     lin = tables["linearization"]
     checks.append(make_check(
         "linearization-curvature-bound",
@@ -622,11 +621,8 @@ def corollary_verdicts(tables, tolerances):
         "<= 0", tolerances["bound_slack"],
     ))
     coup = tables["coupling"]
-    checks.append(make_check(
-        "signed-unsigned-coupling",
-        abs(coup["corr"] - coup["target"]) <= z_band * coup["se"],
-        coup["corr"], coup["target"], z_band * coup["se"],
-    ))
+    checks.append(_within("signed-unsigned-coupling", coup["corr"],
+                          coup["target"], z_band * coup["se"]))
     return checks
 
 
@@ -801,20 +797,14 @@ def critical_verdicts(tables, tolerances):
         total_diag = float(np.sum(tables["slope_diag"]))
         total_target = float(np.sum(tables["slope_target"]))
         ratio = total_diag / total_target if total_target else math.inf
-        band = tolerances["slope_rel"]
-        checks.append(make_check(
-            "bracket-slope-matches-qq-hbar",
-            abs(ratio - 1.0) <= band, ratio, 1.0, band,
+        checks.append(_within(
+            "bracket-slope-matches-qq-hbar", ratio, 1.0,
+            tolerances["slope_rel"],
             detail="pooled realized bracket over pooled q(1-q) int hbar",
         ))
         cross = np.asarray(tables["slope_cross"])
-        se = _se(cross)
-        z_band = tolerances["mean_zero_se"]
-        checks.append(make_check(
-            "cross-bracket-mean-zero",
-            abs(cross.mean()) <= z_band * se, float(cross.mean()), 0.0,
-            z_band * se,
-        ))
+        checks.append(_within("cross-bracket-mean-zero", float(cross.mean()),
+                              0.0, tolerances["mean_zero_se"] * _se(cross)))
         return checks
 
     corr = np.asarray(tables["increment_correlations"])
@@ -998,9 +988,8 @@ def independence_verdicts(tables, tolerances):
     z_band = tolerances["mean_zero_se"]
     mean_corr = tables["mean_pair_correlation"]
     se = tables["corr_se"]
-    checks = [make_check(
-        "pairwise-count-correlation-zero",
-        abs(mean_corr) <= z_band * se, mean_corr, 0.0, z_band * se,
+    checks = [_within(
+        "pairwise-count-correlation-zero", mean_corr, 0.0, z_band * se,
         detail=f"{len(tables['pair_correlations'])} pairs at the largest size",
     )]
     chi = tables["poisson"]
