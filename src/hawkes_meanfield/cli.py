@@ -285,7 +285,7 @@ def _build_parser():
                         version=f"{TOOL_NAME} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, jobs=False, run_overrides=True):
+    def add_common(sp, jobs=False, run_overrides=True, backend=True):
         sp.add_argument("--config", required=True,
                         help="JSON config file (a manifest.json also works)")
         sp.add_argument("--out", help="output directory "
@@ -294,6 +294,7 @@ def _build_parser():
             sp.add_argument("--seed", type=int, help="override run.seed")
             sp.add_argument("--replicates", type=int,
                             help="override run.replicates")
+        if run_overrides and backend:
             sp.add_argument("--backend", choices=list(BACKENDS),
                             help="override run.backend")
         if jobs:
@@ -312,7 +313,7 @@ def _build_parser():
 
     sp = sub.add_parser("fluctuations",
                         help="sample limit-system paths, write tidy CSV")
-    add_common(sp)
+    add_common(sp, backend=False)  # the limit SDE has no event loop
     sp.set_defaults(func=_cmd_fluctuations)
 
     sp = sub.add_parser("verify",

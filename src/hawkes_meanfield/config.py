@@ -30,8 +30,10 @@ which is what makes manifests replayable.
 
 Without "experiment", `run.dt` is the mean-field grid step of `meanfield`
 and `fluctuations`, which samples one vertex path per `run.tracked_vertices`
-entry (2 when empty).  `simulate` reads neither: its event times need no
-grid.  `run.net_seed` fixes the one network of all `simulate` replicates.
+entry (2 when empty); neither has an event loop, so neither reads
+`run.backend`.  `simulate` reads neither `run.dt` nor the tracked vertices:
+its event times need no grid.  `run.net_seed` fixes the one network of all
+`simulate` replicates.
 
 No experiment is named here.  Its `analysis._EXPERIMENTS` entry gives its
 regime (`scaling`) and contract (replicate minima, sizes, p != 1/2, kernel,

@@ -355,6 +355,21 @@ def test_fluctuations_tidy_csv(tmp_path):
     assert replicates == {"0", "1"}
 
 
+def test_fluctuations_takes_no_backend_flag(tmp_path, capsys):
+    # the limit SDE has no event loop; run.backend in a config stays valid
+    doc = _doc()
+    doc["run"].update(horizon=0.5, dt=0.125, backend="time_change")
+    cfg = _write(tmp_path, doc)
+    with pytest.raises(SystemExit) as exc:
+        main(["fluctuations", "--config", cfg, "--out", str(tmp_path / "a"),
+              "--backend", "time_change"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --backend" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+    assert main(["fluctuations", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--seed", "7", "--replicates", "1"]) == 0
+
+
 def test_clt_config_with_tabulated_transfer_is_refused(tmp_path, capsys):
     doc = _doc(experiment="clt", model=dict(
         _doc()["model"],
