@@ -1,11 +1,12 @@
 """Replicated experiments that confront simulation with the limit theory.
 
-Each experiment runs seeded replicates, reduces them to tables, and hands
-them to `_report`, which stores them as plain data and judges the stored
-form.  The split matters: the ``*_verdicts`` functions are pure functions
-of (tables, tolerances), and a run and a replay (`_reverdict`) apply them
-to the same data, so a persisted report re-judges to its verdicts bit for
-bit.  The plot rows are likewise a function of the stored tables alone.
+Each experiment hands its arguments to one driver, `_experiment`, whose
+table builder runs seeded replicates through module-level reduces (so a
+replicate pickles) and which stores the tables as plain data and judges the
+stored form.  The split matters: the ``*_verdicts`` functions are pure
+functions of (tables, tolerances), and a run and a replay (`_reverdict`)
+apply them to the same data, so a persisted report re-judges to its
+verdicts bit for bit.  The plot rows are a function of the tables alone.
 
 Seed layout: replicate r at the b-th entry of an experiment's sizes (b = 0
 for the single-size clt and critical) uses replicate_seed(seed,
@@ -15,6 +16,7 @@ runs uses net_seed, by default replicate_seed(seed, 1 << 20).  `_replicate`
 runs one replicate; `_replicates` and the `simulate` command loop over it.
 """
 
+import functools
 import logging
 import math
 from collections import namedtuple
@@ -125,7 +127,7 @@ def _within(name, observed, target, width, detail=""):
 class ExperimentReport:
     """Tables plus verdicts from one experiment run.
 
-    Every field holds plain JSON data (what `_report`, make_check and
+    Every field holds plain JSON data (what `_experiment`, make_check and
     report_from_dict store), so to_dict hands the fields over as they are.
     checks are derived from tables through the experiment's verdict
     function and never from transient state, so re-judging a deserialized
@@ -182,15 +184,6 @@ def _reverdict(report: ExperimentReport) -> list:
     return verdicts(report.tables, report.tolerances)
 
 
-def _report(name, tol, tables, *, kernel, transfer, **params):
-    """The report of experiment `name`, judged from its stored tables."""
-    tables = _pure(tables)
-    tol = _pure(tol)
-    params = _pure(dict(params, kernel=kernel.kind, transfer=transfer.kind))
-    checks = _EXPERIMENTS[name].verdicts(tables, tol)
-    return ExperimentReport(name, params, tol, tables, checks)
-
-
 def _backend(backend):
     try:
         return _BACKENDS[backend]
@@ -215,8 +208,8 @@ def _require_replicates(replicates, least):
 
 def _require_sizes(sizes, least):
     _need(len(sizes) >= least and all(s >= 1 for s in sizes)
-          and sorted(sizes) == list(sizes), ParameterError, "sizes",
-          f"sizes must be an increasing list of >= {least} sizes")
+          and sorted(set(sizes)) == list(sizes), ParameterError, "sizes",
+          f"sizes must be a strictly increasing list of >= {least} sizes")
 
 
 def _require_mean_field(name, p):
@@ -254,6 +247,37 @@ def _replicates(run, reduce, *, sizes, replicates, **common):
                                **common) for r in range(replicates)])
         log.info("n=%d: %d replicate(s) done", n, replicates)
     return out
+
+
+def _experiment(name, build, call):
+    """The report of experiment `name` on `call`, its function's arguments.
+
+    Contract, backend and tolerances come first: a refused run computes
+    nothing.  build(replicated, **call) returns the tables, running
+    replicated(reduce, sizes=..., **record): _replicates bound to this
+    call's seed, replicates, model and grid.  In the mean-field regime
+    call also carries the solved mean_path.
+    """
+    entry = _EXPERIMENTS[name]
+    entry.contract(**call)
+    run = _backend(call["backend"])
+    tol = _pure(_tol(call.pop("tolerances")))
+    if "sizes" in call:
+        call["sizes"] = [int(n) for n in call["sizes"]]
+    if entry.scaling == "critical":
+        call["p"] = 0.5
+    params = _pure(dict(call, kernel=call["kernel"].kind,
+                        transfer=call["transfer"].kind))
+    params.pop("net_seed", None)  # complementary tables record the seed
+    model = {key: call[key]
+             for key in ("kernel", "transfer", "p", "q", "horizon", "dt")}
+    if entry.scaling == "mean_field":
+        call["mean_path"] = solve_mean_field(**model)
+    replicated = functools.partial(_replicates, run, seed=call["seed"],
+                                   replicates=call["replicates"], **model)
+    tables = _pure(build(replicated, **call))
+    return ExperimentReport(name, params, tol, tables,
+                            entry.verdicts(tables, tol))
 
 
 def _jackknife_se(loo):
@@ -315,21 +339,18 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
     configured band (defaults assume a 16x size span, where the expected
     decay N^{-1/2} adjusted for the growing vertex maximum gives about 3).
     """
-    _lln_contract(sizes=sizes, p=p, replicates=replicates, kernel=kernel)
-    sizes = [int(n) for n in sizes]
-    run = _backend(backend)
-    tol = _tol(tolerances)
-    mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
+    return _experiment("lln", _lln_tables, locals())
 
-    def reduce(res):
-        # the farthest vertex from I(g) is the lowest or the highest one
-        err = float(np.max(np.abs(res.input_range - mean_path.values)))
-        return err, res.trains.total_events
 
-    runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
-                       seed=seed, kernel=kernel, transfer=transfer,
-                       horizon=horizon, dt=dt, p=p, q=q,
-                       tracked_vertices=())
+def _lln_reduce(mean_values, res):
+    # the farthest vertex from I(g) is the lowest or the highest one
+    err = float(np.max(np.abs(res.input_range - mean_values)))
+    return err, res.trains.total_events
+
+
+def _lln_tables(replicated, *, sizes, replicates, mean_path, **_):
+    runs = replicated(functools.partial(_lln_reduce, mean_path.values),
+                      sizes=sizes, tracked_vertices=())
     sup_errors = {}
     events_mean = {}
     for n, reps in zip(sizes, runs):
@@ -337,16 +358,13 @@ def lln_experiment(*, sizes, p, q, kernel, transfer, horizon, replicates,
         sup_errors[str(n)] = errs
         events_mean[str(n)] = float(np.mean([events for _, events in reps]))
         log.info("lln n=%d: median sup error %.4g", n, np.median(errs))
-    tables = {
+    return {
         "sizes": sizes,
         "sup_errors": sup_errors,
         "medians": {str(n): float(np.median(sup_errors[str(n)])) for n in sizes},
         "events_mean": events_mean,
         "replicates": replicates,
     }
-    return _report("lln", tol, tables, kernel=kernel, transfer=transfer,
-                   sizes=sizes, p=p, q=q, horizon=horizon,
-                   replicates=replicates, seed=seed, backend=backend, dt=dt)
 
 
 def lln_verdicts(tables, tolerances):
@@ -408,29 +426,26 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
     grid {0, T}, with the values of any finer grid (see SimulationConfig).
     dt sets the grid of the mean-field solve and of terminal_covariance.
     """
-    _clt_contract(n=n, p=p, transfer=transfer, replicates=replicates,
-                  limit_samples=limit_samples, n_tracked=n_tracked)
-    run = _backend(backend)
-    tol = _tol(tolerances)
-    mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
+    return _experiment("clt", _clt_tables, locals())
+
+
+def _clt_reduce(i_term, res):
+    terminal = np.concatenate(([res.mean_input[-1]],
+                               res.tracked_input[:, -1]))
+    return math.sqrt(res.net.n) * (terminal - i_term)
+
+
+def _clt_tables(replicated, *, n, p, q, kernel, transfer, horizon,
+                replicates, n_tracked, mean_path, **_):
     cov_l = terminal_covariance(mean_path, kernel, transfer, p, q, n_tracked)
-    i_term = mean_path.values[-1]
-    root_n = math.sqrt(n)
-
-    def reduce(res):
-        terminal = np.concatenate(([res.mean_input[-1]],
-                                   res.tracked_input[:, -1]))
-        return root_n * (terminal - i_term)
-
-    finite = np.array(_replicates(
-        run, reduce, sizes=[n], replicates=replicates, seed=seed,
-        kernel=kernel, transfer=transfer, horizon=horizon, dt=horizon, p=p,
-        q=q, tracked_vertices=tuple(range(n_tracked)))[0])
+    finite = np.array(replicated(
+        functools.partial(_clt_reduce, mean_path.values[-1]), sizes=[n],
+        dt=horizon, tracked_vertices=tuple(range(n_tracked)))[0])
 
     cov_f, se_f, loo_f = jackknife_covariance(finite, return_loo=True)
     gap_se = _jackknife_se(loo_f[:, 1, 1] - loo_f[:, 1, 2])
     zeros = np.zeros(n_tracked + 1)
-    tables = {
+    return {
         "n": n,
         "finite": {
             "replicates": replicates,
@@ -447,10 +462,6 @@ def clt_experiment(*, n, p, q, kernel, transfer, horizon, replicates,
         "q": q,
         "values_finite": finite,
     }
-    return _report("clt", tol, tables, kernel=kernel, transfer=transfer,
-                   n=n, p=p, q=q, horizon=horizon, replicates=replicates,
-                   limit_samples=limit_samples, n_tracked=n_tracked,
-                   seed=seed, backend=backend, dt=dt)
 
 
 def clt_verdicts(tables, tolerances):
@@ -526,35 +537,30 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
     is checked against the rigorous curvature bound, and the correlation
     between the signed and unsigned statistics is compared with 2p - 1.
     """
-    _corollary_contract(sizes=sizes, p=p, kernel=kernel, transfer=transfer,
-                        replicates=replicates)
-    sizes = [int(n) for n in sizes]
-    run = _backend(backend)
-    tol = _tol(tolerances)
-    mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
-    i_term = mean_path.values[-1]
-    h_term = float(transfer(i_term))
-    hp_term = float(transfer.derivative(i_term))
+    return _experiment("corollary", _corollary_tables, locals())
+
+
+def _corollary_reduce(transfer, i_term, res):
+    """(sup, X^0_T, signed average at T, linearization excess)."""
+    root_n = math.sqrt(res.net.n)
+    paths = extract_martingale_paths(res, vertices=())
+    s_term = float(res.full_input[0, -1])
+    k_term = root_n * (s_term - i_term)
+    lhs = abs(root_n * (float(transfer(s_term)) - float(transfer(i_term)))
+              - float(transfer.derivative(i_term)) * k_term)
+    bound = 0.5 * transfer.second_deriv_sup * k_term**2 / root_n
+    return (float(np.max(np.abs(paths.x0))) / root_n,
+            float(paths.x0[-1]), float(paths.mean_martingale[-1]),
+            lhs - bound)
+
+
+def _corollary_tables(replicated, *, sizes, p, transfer, replicates,
+                      mean_path, **_):
     rate_integral = float(np.trapezoid(transfer(mean_path.values),
                                        mean_path.grid))
-
-    def reduce(res):
-        """(sup, X^0_T, signed average at T, linearization excess)."""
-        root_n = math.sqrt(res.net.n)
-        paths = extract_martingale_paths(res, vertices=())
-        s_term = float(res.full_input[0, -1])
-        k_term = root_n * (s_term - i_term)
-        lhs = abs(root_n * (float(transfer(s_term)) - h_term)
-                  - hp_term * k_term)
-        bound = 0.5 * transfer.second_deriv_sup * k_term**2 / root_n
-        return (float(np.max(np.abs(paths.x0))) / root_n,
-                float(paths.x0[-1]), float(paths.mean_martingale[-1]),
-                lhs - bound)
-
-    runs = _replicates(run, reduce, sizes=sizes, replicates=replicates,
-                       seed=seed, kernel=kernel, transfer=transfer,
-                       horizon=horizon, dt=dt, p=p, q=q,
-                       tracked_vertices=(), record_full=True)
+    runs = replicated(
+        functools.partial(_corollary_reduce, transfer, mean_path.values[-1]),
+        sizes=sizes, tracked_vertices=(), record_full=True)
     sup_stats = {}
     x0_terminal = []
     xu_terminal = []
@@ -575,7 +581,7 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
         np.column_stack([xu, x0]),
         lambda v: float(np.corrcoef(v[:, 0], v[:, 1])[0, 1]),
     )
-    tables = {
+    return {
         "sizes": sizes,
         "replicates": replicates,
         "sup_stats": sup_stats,
@@ -594,9 +600,6 @@ def corollary_experiment(*, sizes, p, q, kernel, transfer, horizon,
         "coupling": {"corr": corr, "se": corr_se, "target": 2.0 * p - 1.0,
                      "signed_values": xu_terminal},
     }
-    return _report("corollary", tol, tables, kernel=kernel,
-                   transfer=transfer, sizes=sizes, p=p, q=q, horizon=horizon,
-                   replicates=replicates, seed=seed, backend=backend, dt=dt)
 
 
 def corollary_verdicts(tables, tolerances):
@@ -693,54 +696,51 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
     test) and the two drift paths must separate beyond the pooled-SE band
     somewhere on the grid.
     """
-    _critical_contract(n=n, q=q, kernel=kernel, replicates=replicates,
-                       complementary=complementary, net_seed=net_seed)
-    run = _backend(backend)
-    tol = _tol(tolerances)
-    p = 0.5
+    return _experiment("critical", _critical_tables, locals())
 
+
+def _critical_reduce(horizon, res):
+    """Per-replicate slopes, cross coefficient and downsampled series."""
+    net = res.net
+    paths = extract_martingale_paths(res, vertices=(0, 1))
+    ident = np.max(np.abs(paths.m_per_vertex
+                          - (paths.m_tilde
+                             + net.q * paths.mean_martingale[None, :])))
+    if ident > 1e-9:
+        raise ContractError(
+            f"martingale split identity violated by {ident:.3g}"
+        )
+    stride = _downsample_stride(paths.grid)
+    centered0 = net.adjacency[:, 0].astype(np.float64) - net.q
+    centered1 = net.adjacency[:, 1].astype(np.float64) - net.q
+    c00 = float(np.mean(centered0**2))
+    qq_hbar = net.q * (1.0 - net.q) * paths.hbar_int
+    bracket00 = paths.brackets[(0, 0)]
+    bracket01 = paths.brackets[(0, 1)]
+    rows = (bracket00, bracket01, paths.predictable[(0, 0)],
+            c00 * paths.hbar_int, qq_hbar, *paths.drifts,
+            *paths.m_per_vertex, *paths.m_tilde)
+    return {
+        "t_grid": paths.grid[::stride],
+        "series": {name: row[::stride]
+                   for name, row in zip(_CRITICAL_SERIES, rows)},
+        "slope_diag": float(bracket00[-1] / horizon),
+        "slope_target": float(qq_hbar[-1] / horizon),
+        "slope_cross": float(bracket01[-1] / horizon),
+        "cross_coefficient": float(np.mean(centered0 * centered1)),
+    }
+
+
+def _critical_tables(replicated, *, n, q, horizon, replicates, seed,
+                     complementary, net_seed, **_):
     fixed_net = None
     if complementary:
         if net_seed is None:
             net_seed = replicate_seed(seed, 1 << 20)
         fixed_net = build_complementary_network(n, net_seed)
-
-    def reduce(res):
-        """Per-replicate slopes, cross coefficient and downsampled series."""
-        net = res.net
-        paths = extract_martingale_paths(res, vertices=(0, 1))
-        ident = np.max(np.abs(paths.m_per_vertex
-                              - (paths.m_tilde
-                                 + net.q * paths.mean_martingale[None, :])))
-        if ident > 1e-9:
-            raise ContractError(
-                f"martingale split identity violated by {ident:.3g}"
-            )
-        stride = _downsample_stride(paths.grid)
-        centered0 = net.adjacency[:, 0].astype(np.float64) - net.q
-        centered1 = net.adjacency[:, 1].astype(np.float64) - net.q
-        c00 = float(np.mean(centered0**2))
-        qq_hbar = net.q * (1.0 - net.q) * paths.hbar_int
-        bracket00 = paths.brackets[(0, 0)]
-        bracket01 = paths.brackets[(0, 1)]
-        rows = (bracket00, bracket01, paths.predictable[(0, 0)],
-                c00 * paths.hbar_int, qq_hbar, *paths.drifts,
-                *paths.m_per_vertex, *paths.m_tilde)
-        return {
-            "t_grid": paths.grid[::stride],
-            "series": {name: row[::stride]
-                       for name, row in zip(_CRITICAL_SERIES, rows)},
-            "slope_diag": float(bracket00[-1] / horizon),
-            "slope_target": float(qq_hbar[-1] / horizon),
-            "slope_cross": float(bracket01[-1] / horizon),
-            "cross_coefficient": float(np.mean(centered0 * centered1)),
-        }
-
-    reps = _replicates(run, reduce, sizes=[n], replicates=replicates,
-                       seed=seed, kernel=kernel, transfer=transfer,
-                       horizon=horizon, dt=dt, p=p, q=q, net=fixed_net,
-                       scaling="critical", tracked_vertices=(),
-                       record_full=True)[0]
+    reps = replicated(functools.partial(_critical_reduce, horizon),
+                      sizes=[n], net=fixed_net, scaling="critical",
+                      tracked_vertices=(), record_full=True)[0]
     series = {name: [rep["series"][name] for rep in reps]
               for name in _CRITICAL_SERIES}
     tables = {
@@ -771,10 +771,7 @@ def critical_experiment(*, n, q=0.5, kernel, transfer, horizon, replicates,
         tables["drift_gap_se"] = dg.std(axis=0, ddof=1) / math.sqrt(replicates)
         tables["sign_residual"] = fixed_net.sign_sum
         tables["net_seed"] = net_seed
-    return _report("critical", tol, tables, kernel=kernel,
-                   transfer=transfer, n=n, p=p, q=q, horizon=horizon,
-                   replicates=replicates, seed=seed, backend=backend,
-                   complementary=complementary, dt=dt)
+    return tables
 
 
 def _sign_test_pvalue(k, n):
@@ -892,18 +889,18 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     Only the event counts are read, so each replicate records just the grid
     {0, T}; dt sets the grid of the mean-field solve behind the Poisson mean.
     """
-    _independence_contract(sizes=sizes, p=p, replicates=replicates,
-                           m_vertices=m_vertices)
-    sizes = [int(x) for x in sizes]
-    run = _backend(backend)
-    tol = _tol(tolerances)
-    mean_path = solve_mean_field(kernel, transfer, p, q, horizon, dt)
+    return _experiment("independence", _independence_tables, locals())
+
+
+def _independence_reduce(m_vertices, res):
+    return res.trains.counts()[:m_vertices].copy()
+
+
+def _independence_tables(replicated, *, sizes, transfer, horizon, replicates,
+                         m_vertices, mean_path, **_):
     mu = float(np.trapezoid(transfer(mean_path.values), mean_path.grid))
-    runs = _replicates(
-        run, lambda res: res.trains.counts()[:m_vertices].copy(),
-        sizes=sizes, replicates=replicates, seed=seed, kernel=kernel,
-        transfer=transfer, horizon=horizon, dt=horizon, p=p, q=q,
-        tracked_vertices=())
+    runs = replicated(functools.partial(_independence_reduce, m_vertices),
+                      sizes=sizes, dt=horizon, tracked_vertices=())
     counts = {str(n): np.array(rows) for n, rows in zip(sizes, runs)}
 
     largest = counts[str(sizes[-1])].astype(np.float64)
@@ -912,7 +909,7 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
     pooled = largest.ravel()
     chi = _poisson_gof(pooled, mu)
 
-    tables = {
+    return {
         "sizes": sizes,
         "m_vertices": m_vertices,
         "replicates": replicates,
@@ -923,10 +920,6 @@ def independence_experiment(*, sizes, p, q, kernel, transfer, horizon,
         "poisson": chi,
         "poisson_mean": mu,
     }
-    return _report("independence", tol, tables, kernel=kernel,
-                   transfer=transfer, sizes=sizes, p=p, q=q, horizon=horizon,
-                   replicates=replicates, m_vertices=m_vertices, seed=seed,
-                   backend=backend, dt=dt)
 
 
 def _poisson_pmf(k, mu):

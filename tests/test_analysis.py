@@ -1,8 +1,10 @@
 """Experiment drivers: guards, report round trips, verdict reproducibility."""
 
+import functools
 import inspect
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -37,9 +39,25 @@ def _tiny_lln(**kw):
     return lln_experiment(**args)
 
 
-def test_parameter_guards():
+def _no_compute(*args, **kwargs):
+    raise AssertionError("computed before the arguments were checked")
+
+
+def test_parameter_guards(monkeypatch):
+    for name in ("solve_mean_field", "sample_network",
+                 "build_complementary_network"):
+        monkeypatch.setattr(analysis, name, _no_compute)
+    for key in ("thinning", "time_change"):
+        monkeypatch.setitem(analysis._BACKENDS, key, _no_compute)
     with pytest.raises(ParameterError):
         _tiny_lln(sizes=[60, 15])
+    # a repeated size would run its seeds twice under one table key
+    for name, kwargs in (("lln", dict(replicates=3)),
+                         ("corollary", dict(replicates=8)),
+                         ("independence", dict(replicates=10))):
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            run_experiment(name, sizes=[15, 15], p=0.8, q=0.5, kernel=EXP,
+                           transfer=ARCTAN, horizon=1.0, seed=1, **kwargs)
     with pytest.raises(ParameterError):
         _tiny_lln(sizes=[15])
     with pytest.raises(ParameterError):
@@ -116,12 +134,9 @@ def test_clt_refuses_a_transfer_without_derivative_before_simulating(
 
 
 def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
-    def no_compute(*args, **kwargs):
-        raise AssertionError("computed before the backend was checked")
-
     for name in ("solve_mean_field", "sample_network",
                  "build_complementary_network"):
-        monkeypatch.setattr(analysis, name, no_compute)
+        monkeypatch.setattr(analysis, name, _no_compute)
     calls = [
         ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3)),
         ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64)),
@@ -140,7 +155,8 @@ def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
 def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
     # they read the terminal input or the counts; the others read paths.
     # Each replicate records only what its reduce reads: tracked rows for
-    # clt alone, the input range or the full input, never both
+    # clt alone, the input range or the full input, never both.  Each
+    # report's params are its call's arguments, on every host
     grids = []
     recorded = []
     for key, simulate in dict(analysis._BACKENDS).items():
@@ -176,6 +192,44 @@ def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
         assert all(g[-1] == 1.0 for g in grids), name
         assert rep.params["dt"] is None, name
         assert recorded == [asked] * len(grids), name
+        signature = inspect.signature(analysis._EXPERIMENTS[name].run)
+        want = set(signature.parameters) - {"tolerances", "net_seed"}
+        assert set(rep.params) == want | {"p"}, name
+        assert rep.params["kernel"] == "exponential", name
+        assert rep.params["transfer"] == "arctan", name
+        if name == "critical":
+            assert rep.params["p"] == 0.5
+
+
+def test_every_replicate_unit_pickles(monkeypatch):
+    # the unit a process pool would ship: one replicate with its reduce
+    units = []
+    replicate = analysis._replicate
+
+    def spy(run, reduce, index, **common):
+        out = replicate(run, reduce, index, **common)
+        if index == 0:
+            units.append((functools.partial(replicate, run, reduce, **common),
+                          out))
+        return out
+
+    monkeypatch.setattr(analysis, "_replicate", spy)
+    calls = [
+        ("lln", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=3)),
+        ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64)),
+        ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8)),
+        ("critical", dict(n=20, replicates=5)),
+        ("critical", dict(n=16, replicates=5, complementary=True)),
+        ("independence", dict(sizes=[24], p=0.8, q=0.5, replicates=10,
+                              m_vertices=3)),
+    ]
+    for name, kwargs in calls:
+        run_experiment(name, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                       seed=3, **kwargs)
+    monkeypatch.undo()
+    assert len(units) == len(calls)
+    for unit, out in units:
+        np.testing.assert_equal(pickle.loads(pickle.dumps(unit))(0), out)
 
 
 def test_linearization_needs_curvature_bound():
@@ -308,7 +362,7 @@ def test_random_mode_reports_slope_checks():
 
 
 def test_to_dict_hands_over_the_stored_plain_data(monkeypatch):
-    # _report, make_check and report_from_dict store plain data already
+    # _experiment, make_check and report_from_dict store plain data already
     rep = _tiny_lln()
     calls = []
     pure = analysis._pure

@@ -3,12 +3,15 @@
 `bench/tracer.py` rebinds names on `analysis`, `cli` and the stream-drawing
 modules, and `bench/workloads.py` drives the public API.  Tier-1 collects
 only `tests/`, so these checks keep a rename or a dropped import in `src/`
-from passing here and breaking `bench/run.py` later.  The bench modules are
-loaded read-only: no bytecode is written next to them.
+from passing here and breaking `bench/run.py` later, and a name bound at
+import time, which the rebinding would miss, from leaving its layer's time
+at 0.  The bench modules are loaded read-only: no bytecode is written next
+to them.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -36,6 +39,19 @@ def _load(name):
 tracer = _load("tracer")
 workloads = _load("workloads")
 
+# the layers besides cli.verify and analysis.experiment that spend time in
+# each workload's verify
+_LAYERS_TIMED = {
+    "clt_limit": {"network.sample", "volterra.solve",
+                  "fluctuations.jackknife", "simulator.thinning"},
+    "critical_recorded": {"network.sample", "simulator.martingale",
+                          "simulator.thinning"},
+    "lln_timechange": {"network.sample", "volterra.solve",
+                       "simulator.time_change"},
+    "independence_history": {"network.sample", "volterra.solve",
+                             "simulator.thinning"},
+}
+
 
 def test_tracer_names_exist():
     for span, attrs in tracer._ANALYSIS_LAYERS.items():
@@ -54,3 +70,19 @@ def test_toy_workload_validates_and_replays_replicate_zero(name):
     sha, entry, extract = workloads.replicate_zero(hm, cfg)
     assert len(sha) == 64
     assert entry is not None and callable(extract)
+
+
+@pytest.mark.parametrize("name", workloads.NAMES)
+def test_toy_workload_spans_fire(name, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(workloads.make_config(name, seed=1,
+                                                       toy=True)))
+    trace = tracer.Tracer("test")
+    trace.begin_call("call")
+    with trace.patch(hm), trace.span("cli.verify"):
+        status = cli.main(["verify", "--config", str(config),
+                           "--out", str(tmp_path / "out")])
+    assert status in (0, 1), capsys.readouterr()
+    _, inclusive = trace.self_times("call")
+    timed = {layer for layer, seconds in inclusive.items() if seconds > 0}
+    assert timed == _LAYERS_TIMED[name] | {"cli.verify", tracer.EXPERIMENT}
