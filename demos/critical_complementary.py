@@ -31,8 +31,8 @@ def main():
     slopes, targets, corrs, gaps = [], [], [], []
     for r in range(REPLICATES):
         cfg = SimulationConfig(horizon=HORIZON, seed=SEED + r,
-                               scaling="critical", tracked_vertices=(0, 1),
-                               record_full=True)
+                               scaling="critical", tracked_vertices=(),
+                               martingale_vertices=(0, 1))
         res = simulate_thinning(net, kernel, h, cfg)
         paths = extract_martingale_paths(res, vertices=(0, 1))
         slopes.append(paths.brackets[(0, 0)][-1] / HORIZON)

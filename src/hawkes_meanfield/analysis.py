@@ -206,7 +206,15 @@ def _require_replicates(replicates, least):
           f"need at least {least} replicates")
 
 
+def _is_integer(n):
+    """A Python or numpy integer that is not a bool."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+
+
 def _require_sizes(sizes, least):
+    odd = [s for s in sizes if not _is_integer(s)]
+    _need(not odd, ParameterError, "sizes",
+          f"sizes must be integers, got {odd!r}")
     _need(len(sizes) >= least and all(s >= 1 for s in sizes)
           and sorted(set(sizes)) == list(sizes), ParameterError, "sizes",
           f"sizes must be a strictly increasing list of >= {least} sizes")
@@ -398,6 +406,8 @@ def _lln_plot_rows(tables):
 
 def _clt_contract(*, n, p, transfer, replicates, limit_samples, n_tracked,
                   **_):
+    _need(_is_integer(n), ParameterError, "n",
+          f"n must be an integer, got {n!r}")
     _need(2 <= n_tracked <= n, ParameterError, "n_tracked",
           f"n_tracked must be >= 2 (a covariance pair) and <= n = {n}")
     _require_replicates(replicates, 8)
@@ -544,7 +554,7 @@ def _corollary_reduce(transfer, i_term, res):
     """(sup, X^0_T, signed average at T, linearization excess)."""
     root_n = math.sqrt(res.net.n)
     paths = extract_martingale_paths(res, vertices=())
-    s_term = float(res.full_input[0, -1])
+    s_term = float(res.tracked_input[0, -1])
     k_term = root_n * (s_term - i_term)
     lhs = abs(root_n * (float(transfer(s_term)) - float(transfer(i_term)))
               - float(transfer.derivative(i_term)) * k_term)
@@ -560,7 +570,7 @@ def _corollary_tables(replicated, *, sizes, p, transfer, replicates,
                                        mean_path.grid))
     runs = replicated(
         functools.partial(_corollary_reduce, transfer, mean_path.values[-1]),
-        sizes=sizes, tracked_vertices=(), record_full=True)
+        sizes=sizes, tracked_vertices=(0,), martingale_vertices=())
     sup_stats = {}
     x0_terminal = []
     xu_terminal = []
@@ -664,6 +674,8 @@ _CRITICAL_SERIES = (
 
 def _critical_contract(*, n, q, kernel, replicates, complementary,
                        net_seed=None, **_):
+    _need(_is_integer(n), ParameterError, "n",
+          f"n must be an integer, got {n!r}")
     _need(n >= 2, ParameterError, "n",
           f"critical tracks vertices 0 and 1, so it needs n >= 2, got {n}")
     _need(not complementary or n % 2 == 0, ParameterError, "n",
@@ -720,9 +732,11 @@ def _critical_reduce(horizon, res):
     rows = (bracket00, bracket01, paths.predictable[(0, 0)],
             c00 * paths.hbar_int, qq_hbar, *paths.drifts,
             *paths.m_per_vertex, *paths.m_tilde)
+    # copies, not views: a strided view would keep every full-grid path of
+    # the replicate alive until the experiment ends
     return {
-        "t_grid": paths.grid[::stride],
-        "series": {name: row[::stride]
+        "t_grid": paths.grid[::stride].copy(),
+        "series": {name: row[::stride].copy()
                    for name, row in zip(_CRITICAL_SERIES, rows)},
         "slope_diag": float(bracket00[-1] / horizon),
         "slope_target": float(qq_hbar[-1] / horizon),
@@ -740,7 +754,7 @@ def _critical_tables(replicated, *, n, q, horizon, replicates, seed,
         fixed_net = build_complementary_network(n, net_seed)
     reps = replicated(functools.partial(_critical_reduce, horizon),
                       sizes=[n], net=fixed_net, scaling="critical",
-                      tracked_vertices=(), record_full=True)[0]
+                      tracked_vertices=(), martingale_vertices=(0, 1))[0]
     series = {name: [rep["series"][name] for rep in reps]
               for name in _CRITICAL_SERIES}
     tables = {

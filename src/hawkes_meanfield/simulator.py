@@ -21,6 +21,13 @@ SimulationResult field names, which the result takes as it is.
 Recording before the event's jump makes every recorded value a left limit:
 a grid point that coincides with an event time gets the pre-jump input.
 
+The martingale algebra reads linear functionals of the counting and
+compensator paths only.  A run with martingale_vertices records the rates
+h(S(g)) projected onto a few rows of {-1, 0, 1} weights (_projection_rows),
+and extract_martingale_paths projects the counts from the spike trains onto
+the same rows, so neither ever holds an N x grid array; record_full keeps
+the whole input as the oracle that the projection is checked against.
+
 There are two implementations.  For the exponential kernel S is one lazily
 decayed vector (all components share the decay factor, so a single sync time
 suffices); a grid crossing stores the undecayed state with its sync time and
@@ -68,6 +75,8 @@ __all__ = [
 ]
 
 _BLOCK = 8192
+# float64 items per column block of h(S) evaluated at a grid crossing (32 KiB)
+_COLUMN_ITEMS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -80,9 +89,16 @@ class SimulationConfig:
     always ends exactly at the horizon, so a caller that reads only the
     terminal input or the event counts can pass dt=horizon and record just
     {0, T}, with the same spike trains and terminal values as any finer
-    grid.  record_full keeps the whole N x grid input matrix (needed for
-    martingale extraction), record_mean_rate the vertex-averaged rate path;
-    both need the exponential kernel.
+    grid.
+
+    martingale_vertices names the target vertices of martingale extraction
+    ((0, 1) for the critical brackets, () for the population sums alone):
+    the run records h(S) at each grid time projected onto the rows that
+    extract_martingale_paths(result, martingale_vertices) reads, k (M+1)
+    floats for k = 2 + 2 K + K (K - 1) / 2 rows and K vertices.
+    record_full keeps the whole N x grid input matrix instead, the oracle
+    path of that extraction; record_mean_rate keeps the vertex-averaged
+    rate path.  All three need the exponential kernel.
 
     Sup-norm statistics need neither: with the exponential kernel every
     result without record_full carries input_range, the smallest and largest
@@ -101,6 +117,7 @@ class SimulationConfig:
     tracked_vertices: tuple = (0,)
     record_full: bool = False
     record_mean_rate: bool = False
+    martingale_vertices: tuple | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.horizon < math.inf:
@@ -112,6 +129,9 @@ class SimulationConfig:
             )
         object.__setattr__(self, "tracked_vertices",
                            tuple(int(v) for v in self.tracked_vertices))
+        if self.martingale_vertices is not None:
+            object.__setattr__(self, "martingale_vertices",
+                               tuple(int(v) for v in self.martingale_vertices))
 
     def theta(self, n: int) -> float:
         return 1.0 / n if self.scaling == "mean_field" else 1.0 / math.sqrt(n)
@@ -162,7 +182,13 @@ class SpikeTrains:
 @dataclass(frozen=True)
 class SimulationResult:
     """One run: its network, its spike trains and what its config recorded
-    (an optional field the run did not record stays None)."""
+    (an optional field the run did not record stays None).
+
+    martingale_rates holds _projection_rows(net, martingale_vertices) @
+    h(S(g)) at each grid time g; full_input, the whole recorded input, is
+    the oracle that extract_martingale_paths projects when the run recorded
+    no projection for the vertices asked.
+    """
 
     net: NetworkConfiguration
     transfer: TransferFunction
@@ -173,23 +199,45 @@ class SimulationResult:
     mean_rate: np.ndarray | None = None  # (len(grid),) if recorded
     full_input: np.ndarray | None = None  # (n, len(grid)) if recorded
     input_range: np.ndarray | None = None  # (2, len(grid)) if recorded
+    martingale_vertices: tuple | None = None
+    martingale_rates: np.ndarray | None = None  # (k, len(grid)) if recorded
     diagnostics: dict = field(default_factory=dict)
 
 
-def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
+def _projection_rows(net, vertices):
+    """The k x N weights whose products with the counting and compensator
+    paths give every MartingalePaths field for these target vertices.
+
+    Rows: 1, U, U V_a for each target a, V_a for each target a, and
+    V_a V_b for each pair a < b (U the signs, V the adjacency columns).
+    Every entry is -1, 0 or 1, so a row times integer counts is an exact
+    integer in any summation order; the brackets' centered weights
+    (V_a - q)(V_b - q) = V_a V_b - q (V_a + V_b) + q^2 are combined from
+    these rows afterwards.
+    """
+    u = net.signs.astype(np.float64)
+    cols = net.adjacency[:, list(vertices)].T.astype(np.float64)
+    pairs = [cols[a] * cols[b] for a in range(len(cols))
+             for b in range(a + 1, len(cols))]
+    return np.vstack([np.ones(net.n), u, u * cols, cols, *pairs])
+
+
+def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     """(at, fire, close) over one lazily decayed input vector.
 
     Exponential kernel only: all components share the decay factor, so the
     vector and one sync time describe S exactly.  At a grid crossing fire
     stores the undecayed state with its sync time, and close multiplies every
-    recorded column by exp(-rate * (g - sync)) once.  mean_rate is the
-    exception: h is not linear, so it is taken from the decayed state at the
-    crossing.  One input array is recorded per run: the whole state
-    (full_input) under record_full, or else its min and max (input_range),
-    which a positive factor keeps in order, so decaying them at close gives
-    the extremes of the decayed column.  The closures keep their state in
-    local cells, not attributes: at and fire run once per candidate and per
-    event.
+    recorded column by exp(-rate * (g - sync)) once.  mean_rate and the
+    projected rates rows @ h(S) (martingale_rates, when rows is given) are
+    the exception: h is not linear, so they are taken from the decayed state
+    at the crossing, _COLUMN_ITEMS values of h at a time, so that a call
+    crossing many grid points allocates no N x grid block.  One input array
+    is recorded per run: the whole state (full_input) under record_full, or
+    else its min and max (input_range), which a positive factor keeps in
+    order, so decaying them at close gives the extremes of the decayed
+    column.  The closures keep their state in local cells, not attributes:
+    at and fire run once per candidate and per event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -209,6 +257,8 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
     tracked_paths = np.zeros((len(tracked), m1))
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
+    rates = None if rows is None else np.zeros((len(rows), m1))
+    width = max(1, _COLUMN_ITEMS // n)
     full = cfg.record_full
     inputs = np.zeros((n if full else 2, m1))
     sync = np.zeros(m1)
@@ -228,9 +278,15 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
         else:
             inputs[0, a:j] = state.min()
             inputs[1, a:j] = state.max()
-        if mean_rate is not None:
-            decays = np.exp(-lam * (grid[a:j] - t_sync))
-            mean_rate[a:j] = transfer(state[:, None] * decays[None, :]).mean(axis=0)
+        if mean_rate is not None or rates is not None:
+            for b in range(a, j, width):
+                e = min(b + width, j)
+                decays = np.exp(-lam * (grid[b:e] - t_sync))
+                h = transfer(state[:, None] * decays[None, :])
+                if mean_rate is not None:
+                    mean_rate[b:e] = h.mean(axis=0)
+                if rates is not None:
+                    rates[:, b:e] = rows @ h
         next_idx = j
         next_t = grid_list[j] if j < m1 else math.inf
 
@@ -258,6 +314,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg):
                     "full_input" if full else "input_range": inputs}
         if mean_rate is not None:
             recorded["mean_rate"] = mean_rate
+        if rates is not None:
+            recorded["martingale_rates"] = rates
+            recorded["martingale_vertices"] = cfg.martingale_vertices
         return recorded
 
     return at, fire, close
@@ -368,17 +427,27 @@ def _setup(net, kernel, transfer, cfg):
     for v in cfg.tracked_vertices:
         if not (0 <= v < net.n):
             raise ParameterError(f"tracked vertex {v} outside 0..{net.n - 1}")
-    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate):
+    vertices = cfg.martingale_vertices
+    for v in vertices or ():
+        if not (0 <= v < net.n):
+            raise ParameterError(
+                f"martingale vertex {v} outside 0..{net.n - 1}")
+    if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate
+                                      or vertices is not None):
         raise SchemeMismatchError(
-            f"record_full / record_mean_rate need the exponential-kernel fast "
-            f"path, not a {kernel.kind} kernel; track specific vertices instead"
+            f"record_full / record_mean_rate / martingale_vertices need the "
+            f"exponential-kernel fast path, not a {kernel.kind} kernel; "
+            f"track specific vertices instead"
         )
     horizon = float(cfg.horizon)
     grid, _ = _resolve_grid(horizon, cfg.dt)
     coef = cfg.theta(net.n) * net.signs.astype(np.float64)
-    make = _lazy_decay if kernel.is_exponential else _windowed_history
-    return (horizon, grid) + make(grid, net.adjacency, coef, kernel, transfer,
-                                  cfg)
+    if not kernel.is_exponential:
+        return (horizon, grid) + _windowed_history(
+            grid, net.adjacency, coef, kernel, transfer, cfg)
+    rows = None if vertices is None else _projection_rows(net, vertices)
+    return (horizon, grid) + _lazy_decay(grid, net.adjacency, coef, kernel,
+                                         transfer, cfg, rows)
 
 
 def _finalize(net, transfer, horizon, grid, recorded, trains, candidates,
@@ -528,23 +597,46 @@ def recompute_input_from_trains(net: NetworkConfiguration, kernel: Kernel,
     return out
 
 
+def _cumulative_trapezoid(rates, grid):
+    """int_0^g of each row of rates on the grid, overwriting rates.
+
+    The operations and order of scipy's cumulative_trapezoid, bit for bit;
+    the call holds the rates and one step array at most.
+    """
+    steps = rates[:, 1:] + rates[:, :-1]
+    steps *= np.diff(grid)
+    steps /= 2.0
+    np.cumsum(steps, axis=1, out=rates[:, 1:])
+    rates[:, :1] = 0.0
+    return rates
+
+
 def compensators(result: SimulationResult) -> np.ndarray:
     """Per-vertex compensator paths int_0^t h(S_j(s)) ds on the grid.
 
     Trapezoid quadrature of the recorded full input; needs record_full=True.
-    The cumulative sums overwrite the rate array in place, so the call holds
-    the rates and one step array at most.
     """
     if result.full_input is None:
         raise RecordingMissingError("compensators need record_full=True")
-    comp = result.transfer(result.full_input)
-    # the operations and order of scipy's cumulative_trapezoid, bit for bit
-    steps = comp[:, 1:] + comp[:, :-1]
-    steps *= np.diff(result.grid)
-    steps /= 2.0
-    np.cumsum(steps, axis=1, out=comp[:, 1:])
-    comp[:, :1] = 0.0
-    return comp
+    return _cumulative_trapezoid(result.transfer(result.full_input),
+                                 result.grid)
+
+
+def _count_rows(trains, grid, rows):
+    """rows @ Z_{g-} at each grid time g, from the merged events.
+
+    An event at t adds its vertex's column of rows to every grid time
+    g > t (left limits): a cumulative sum of those columns over the grid
+    bins of the events, one row at a time, so the call holds the events and
+    the k x grid result.  Integer weights keep every sum exact.
+    """
+    ts, vs = trains.merged()
+    bins = np.searchsorted(grid, ts, side="right")
+    out = np.empty((len(rows), len(grid)))
+    for r, row in enumerate(rows):
+        np.cumsum(np.bincount(bins, weights=row[vs], minlength=len(grid)),
+                  out=out[r])
+    return out
 
 
 @dataclass(frozen=True)
@@ -574,59 +666,77 @@ class MartingalePaths:
     predictable: dict
 
 
+def _paths_from_rows(grid, net, vertices, counts, rates):
+    """MartingalePaths from rows @ Z_{g-} and rows @ h(S(g)) on the grid,
+    for the rows of _projection_rows(net, vertices).
+
+    Compensators integrate the projected rates by the trapezoid rule.  A
+    bracket combines the integer rows V_a V_b, V_a, V_b and 1, so on the
+    counts it is exact whatever q (at q = 1/2 it equals 1/4 of the total
+    count, summed in any order).
+    """
+    n, q, k = net.n, net.q, len(vertices)
+    root = math.sqrt(n)
+    comp = _cumulative_trapezoid(np.array(rates), grid)
+    base = counts - comp
+    u, uv = base[1], base[2:2 + k]
+    # row of V_a V_b for a <= b (V_a V_a = V_a), in _projection_rows' order
+    row_of = {(a, a): 2 + k + a for a in range(k)}
+    row_of.update({pair: 2 + 2 * k + i for i, pair in enumerate(
+        (a, b) for a in range(k) for b in range(a + 1, k))})
+
+    def bracket(x, a, b):
+        return (x[row_of[a, b]] - q * (x[2 + k + a] + x[2 + k + b])
+                + q * q * x[0]) / n
+
+    pairs = sorted(row_of)
+    return MartingalePaths(
+        grid=grid,
+        mean_martingale=u / root,
+        m_tilde=(uv - q * u) / root,
+        m_per_vertex=uv / root,
+        drifts=comp[2:2 + k] / root,
+        x0=base[0] / root,
+        hbar_int=comp[0] / n,
+        brackets={(vertices[a], vertices[b]): bracket(counts, a, b)
+                  for a, b in pairs},
+        predictable={(vertices[a], vertices[b]): bracket(comp, a, b)
+                     for a, b in pairs},
+    )
+
+
 def extract_martingale_paths(result: SimulationResult,
                              vertices=(0, 1)) -> MartingalePaths:
     """Split the recorded dynamics into drift and martingale parts.
 
-    Needs record_full=True (the compensators integrate the rate of every
-    vertex); raises RecordingMissingError otherwise.  Compensators use
-    trapezoid quadrature on the recording grid; counting paths are left
-    limits, matching the strict left-limit convention of the simulator.
+    Reads the projected rates of a run recorded with
+    martingale_vertices=vertices, and projects the counts from its spike
+    trains.  The oracle path, for a record_full run recorded without that
+    projection, projects h(full_input) and the per-vertex counting paths
+    onto the same rows instead.  Raises RecordingMissingError when the run
+    recorded neither.  Compensators use trapezoid quadrature on the
+    recording grid; counting paths are left limits, matching the strict
+    left-limit convention of the simulator.
     """
-    if result.full_input is None:
-        raise RecordingMissingError(
-            "extract_martingale_paths needs a result recorded with "
-            "record_full=True"
-        )
     net = result.net
-    n = net.n
     vertices = tuple(int(v) for v in vertices)
     for v in vertices:
-        if not (0 <= v < n):
-            raise ParameterError(f"vertex {v} outside 0..{n - 1}")
+        if not (0 <= v < net.n):
+            raise ParameterError(f"vertex {v} outside 0..{net.n - 1}")
     grid = result.grid
-    comp = compensators(result)
-    counts = result.trains.counts_on_grid(grid)
-
-    u = net.signs.astype(np.float64)
-    root = math.sqrt(n)
-    vcols = net.adjacency[:, list(vertices)].astype(np.float64)
-    centered = vcols - net.q
-    w_tilde = u[:, None] * centered
-    w_full = u[:, None] * vcols
-
-    brackets = {}
-    predictable = {}
-    for a in range(len(vertices)):
-        for b in range(a, len(vertices)):
-            coeff = centered[:, a] * centered[:, b]
-            brackets[(vertices[a], vertices[b])] = (coeff @ counts) / n
-            predictable[(vertices[a], vertices[b])] = (coeff @ comp) / n
-    # the counts become counts - comp in place: one (n, grid) array fewer
-    base = counts
-    base -= comp
-
-    return MartingalePaths(
-        grid=grid,
-        mean_martingale=(u @ base) / root,
-        m_tilde=(w_tilde.T @ base) / root,
-        m_per_vertex=(w_full.T @ base) / root,
-        drifts=(w_full.T @ comp) / root,
-        x0=base.sum(axis=0) / root,
-        hbar_int=comp.mean(axis=0),
-        brackets=brackets,
-        predictable=predictable,
-    )
+    rows = _projection_rows(net, vertices)
+    if result.martingale_vertices == vertices:
+        rates = result.martingale_rates
+        counts = _count_rows(result.trains, grid, rows)
+    elif result.full_input is not None:
+        rates = rows @ result.transfer(result.full_input)
+        counts = rows @ result.trains.counts_on_grid(grid)
+    else:
+        raise RecordingMissingError(
+            f"extract_martingale_paths needs a result recorded with "
+            f"martingale_vertices={vertices} or record_full=True"
+        )
+    return _paths_from_rows(grid, net, vertices, counts, rates)
 
 
 def format_spike_trains(trains: SpikeTrains,

@@ -96,6 +96,27 @@ def test_parameter_guards(monkeypatch):
     with pytest.raises(ParameterError, match="net_seed"):
         critical_experiment(n=16, kernel=EXP, transfer=ARCTAN, horizon=1.0,
                             replicates=5, seed=1, net_seed=3)
+    # a size is an integer: no float (even an integral one) and no bool
+    for name, kwargs in (("lln", dict(replicates=3)),
+                         ("corollary", dict(replicates=8)),
+                         ("independence", dict(replicates=10))):
+        for sizes in ([15.5, 60], [15, 60.0], [True, 60]):
+            with pytest.raises(ParameterError, match="integers") as info:
+                run_experiment(name, sizes=sizes, p=0.8, q=0.5, kernel=EXP,
+                               transfer=ARCTAN, horizon=1.0, seed=1, **kwargs)
+            assert info.value.keyword == "sizes"
+    for n in (24.5, 24.0, True):
+        with pytest.raises(ParameterError, match="integer") as info:
+            clt_experiment(n=n, p=0.8, q=0.5, kernel=EXP, transfer=ARCTAN,
+                           horizon=1.0, replicates=8, limit_samples=64,
+                           seed=1)
+        assert info.value.keyword == "n"
+    for n, complementary in ((16.0, False), (16.5, True), (True, False)):
+        with pytest.raises(ParameterError, match="integer") as info:
+            critical_experiment(n=n, kernel=EXP, transfer=ARCTAN, horizon=1.0,
+                                replicates=5, seed=1,
+                                complementary=complementary)
+        assert info.value.keyword == "n"
 
 
 def test_regime_guards():
@@ -155,8 +176,10 @@ def test_unknown_backend_is_refused_before_any_compute(monkeypatch):
 def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
     # they read the terminal input or the counts; the others read paths.
     # Each replicate records only what its reduce reads: tracked rows for
-    # clt alone, the input range or the full input, never both.  Each
-    # report's params are its call's arguments, on every host
+    # clt and corollary (vertex 0's terminal input), the input range, and
+    # the martingale projection for corollary and critical; no experiment
+    # records the full input.  Each report's params are its call's
+    # arguments, on every host
     grids = []
     recorded = []
     for key, simulate in dict(analysis._BACKENDS).items():
@@ -165,21 +188,23 @@ def test_clt_and_independence_simulate_on_zero_and_horizon(monkeypatch):
             grids.append(res.grid)
             recorded.append((len(res.tracked_input),
                              {"range": res.input_range is not None,
-                              "full": res.full_input is not None}))
+                              "full": res.full_input is not None,
+                              "martingale": res.martingale_vertices}))
             return res
         monkeypatch.setitem(analysis._BACKENDS, key, spy)
-    range_only = {"range": True, "full": False}
-    full_only = {"range": False, "full": True}
+    range_only = {"range": True, "full": False, "martingale": None}
+    population = dict(range_only, martingale=())
+    pair = dict(range_only, martingale=(0, 1))
     calls = [
         ("lln", dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3), 2049,
          (0, range_only)),
         ("clt", dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64), 2,
          (2, range_only)),
         ("corollary", dict(sizes=[15, 30], p=0.8, q=0.5, replicates=8), 2049,
-         (0, full_only)),
-        ("critical", dict(n=20, replicates=5), 2049, (0, full_only)),
+         (1, population)),
+        ("critical", dict(n=20, replicates=5), 2049, (0, pair)),
         ("critical", dict(n=16, replicates=6, complementary=True), 2049,
-         (0, full_only)),
+         (0, pair)),
         ("independence", dict(sizes=[24], p=0.8, q=0.5, replicates=10,
                               m_vertices=3), 2, (0, range_only)),
     ]

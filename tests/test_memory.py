@@ -7,9 +7,15 @@ whole lln experiment, which records no (n, grid) input matrix.
 
 An experiment holds one replicate at a time: its peak stays within 5% of the
 peak of a single replicate (network, simulation, martingale extraction).
-Martingale extraction itself holds at most the compensators, the counting
-paths and a step array on top of the recorded input: below 2.5 float64
-arrays of the recording's shape (n, M+1).
+No experiment allocates an (n, M+1) array: corollary and critical record
+the rates projected onto a few rows and project the counts after the run,
+so at n = 1000 on 2049 grid points their traced peak stays below
+2 n^2 + 96 * 8 (M+1) bytes, where one (n, M+1) float64 array alone is
+1000 * 8 (M+1).  The 96 rows' worth covers the k-row projections, the
+downsampled tables and the thinning loop's candidate blocks, about 1 MB
+whatever n and M.  Martingale extraction from a record_full run (the oracle
+path) holds at most one more array of the recording's shape at a time:
+below 2.5 float64 arrays of shape (n, M+1) with the recording.
 """
 
 import tracemalloc
@@ -75,10 +81,12 @@ def test_lln_experiment_peak_below_two_bytes_per_pair(backend):
 
 
 def _one_replicate(n, p, horizon, scaling, vertices):
-    # what one corollary or critical replicate records and extracts
+    # what one corollary or critical replicate records and extracts:
+    # corollary tracks vertex 0's input, both record the projected rates
     net = sample_network(n, p, 0.5, seed=7)
     cfg = SimulationConfig(horizon=horizon, seed=7, scaling=scaling,
-                           tracked_vertices=(), record_full=True)
+                           tracked_vertices=(0,) if vertices == () else (),
+                           martingale_vertices=vertices)
     res = simulate_thinning(net, KERNELS["exponential"], arctan_transfer(),
                             cfg)
     extract_martingale_paths(res, vertices=vertices)
@@ -101,6 +109,31 @@ def test_experiment_peak_is_one_replicate(experiment):
             n=n, replicates=5, **common))
     assert peak <= 1.05 * single, (
         f"{experiment}: peak {peak} B > 1.05 x one replicate {single} B")
+
+
+_EXPERIMENTS = {
+    "corollary": lambda n, **common: corollary_experiment(
+        sizes=[n // 4, n], p=0.8, q=0.5, replicates=8, **common),
+    "critical-random": lambda n, **common: critical_experiment(
+        n=n, replicates=5, **common),
+    "critical-complementary": lambda n, **common: critical_experiment(
+        n=n, replicates=5, complementary=True, **common),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+def test_experiment_allocates_no_recording_sized_array(experiment):
+    n, grid_points = 1000, 2049
+    common = dict(kernel=KERNELS["exponential"], transfer=arctan_transfer(),
+                  horizon=0.1, seed=7)
+    run = _EXPERIMENTS[experiment]
+    run(16, **common)  # lazy imports (scipy.special in a verdict) load here
+    peak = _traced_peak(lambda: run(n, **common))
+    row = 8 * grid_points
+    bound = 2 * n * n + 96 * row
+    assert peak < bound, (
+        f"{experiment}: peak {peak} B = 2 n^2 + {(peak - 2 * n * n) / row:.1f}"
+        f" x 8 (M+1) B; one (n, M+1) array is {n} x 8 (M+1) B")
 
 
 def test_martingale_extraction_peak_below_two_and_a_half_recordings():

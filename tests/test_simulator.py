@@ -10,8 +10,10 @@ from hawkes_meanfield.errors import (ContractError, ParameterError,
                                      RecordingMissingError,
                                      SchemeMismatchError)
 from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
-                                      exponential_kernel, tabulated_kernel)
+                                      exponential_kernel, tabulated_kernel,
+                                      tabulated_transfer)
 from hawkes_meanfield.network import build_complementary_network, sample_network
+from hawkes_meanfield import simulator
 from hawkes_meanfield.simulator import (SimulationConfig, SpikeTrains,
                                         compensators,
                                         extract_martingale_paths,
@@ -304,6 +306,125 @@ def test_extract_validates_vertices():
     net, cfg, res = _small_run(record_full=True)
     with pytest.raises(ParameterError):
         extract_martingale_paths(res, vertices=(0, 99))
+    with pytest.raises(ParameterError, match="martingale vertex"):
+        _small_run(martingale_vertices=(0, 20))
+    # a projection for other vertices is no recording of these
+    _, _, res = _small_run(martingale_vertices=(0,))
+    with pytest.raises(RecordingMissingError):
+        extract_martingale_paths(res, vertices=(0, 1))
+
+
+_PATH_FIELDS = ("mean_martingale", "m_tilde", "m_per_vertex", "drifts", "x0",
+                "hbar_int")
+# mode -> (network, scaling, target vertices), as the experiments run them;
+# random critical at q = 0.3 so that no centered weight is a power of two
+_MODES = {
+    "critical-random": (lambda: sample_network(40, 0.5, 0.3, seed=5),
+                        "critical", (0, 1)),
+    "critical-complementary": (lambda: build_complementary_network(40, 5),
+                               "critical", (0, 1)),
+    "corollary": (lambda: sample_network(40, 0.8, 0.5, seed=5), "mean_field",
+                  ()),
+}
+
+
+def _definition(res, vertices):
+    """Every MartingalePaths field from its definition on the whole
+    (n, grid) counting and compensator paths of a record_full run."""
+    net = res.net
+    counts = res.trains.counts_on_grid(res.grid)
+    comp = compensators(res)
+    base = counts - comp
+    root = math.sqrt(net.n)
+    u = net.signs.astype(float)
+    v = net.adjacency[:, list(vertices)].astype(float)
+    centered = v - net.q
+    paths = {"mean_martingale": u @ base / root,
+             "m_tilde": (u[:, None] * centered).T @ base / root,
+             "m_per_vertex": (u[:, None] * v).T @ base / root,
+             "drifts": (u[:, None] * v).T @ comp / root,
+             "x0": base.sum(axis=0) / root,
+             "hbar_int": comp.mean(axis=0)}
+    for a, va in enumerate(vertices):
+        for b in range(a, len(vertices)):
+            c = centered[:, a] * centered[:, b]
+            paths["brackets", (va, vertices[b])] = c @ counts / net.n
+            paths["predictable", (va, vertices[b])] = c @ comp / net.n
+    return paths
+
+
+def _assert_close(x, y, label):
+    # relative to the path's largest entry: where a martingale cancels to
+    # ~1e-17, two summation orders differ in its every digit
+    assert x.shape == y.shape, label
+    assert (np.max(np.abs(x - y), initial=0.0)
+            <= 1e-12 * np.max(np.abs(y), initial=0.0)), label
+
+
+def _projected_and_oracle(net, transfer, scaling, vertices, backend, seed,
+                          horizon):
+    common = dict(horizon=horizon, seed=seed, scaling=scaling,
+                  tracked_vertices=())
+    projected = backend(net, EXP, transfer, SimulationConfig(
+        martingale_vertices=vertices, **common))
+    oracle = backend(net, EXP, transfer, SimulationConfig(
+        record_full=True, **common))
+    assert projected.full_input is None and oracle.martingale_rates is None
+    k = len(vertices)
+    assert projected.martingale_rates.shape == (
+        2 + 2 * k + k * (k - 1) // 2, len(projected.grid))
+    assert projected.trains.total_events == oracle.trains.total_events
+    for a, b in zip(projected.trains.times, oracle.trains.times):
+        np.testing.assert_array_equal(a, b)
+    a = extract_martingale_paths(projected, vertices)
+    b = extract_martingale_paths(oracle, vertices)
+    want = _definition(oracle, vertices)
+    for name in _PATH_FIELDS:
+        _assert_close(getattr(a, name), getattr(b, name), name)
+        _assert_close(getattr(b, name), want[name], name)
+    assert a.brackets.keys() == b.brackets.keys() == b.predictable.keys()
+    for key in b.brackets:
+        # integer counts on both paths: the same float whatever q
+        np.testing.assert_array_equal(a.brackets[key], b.brackets[key])
+        _assert_close(b.brackets[key], want["brackets", key], key)
+        _assert_close(a.predictable[key], b.predictable[key], key)
+        _assert_close(b.predictable[key], want["predictable", key], key)
+    return projected
+
+
+@pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
+@pytest.mark.parametrize("mode", sorted(_MODES))
+def test_projected_recording_matches_the_full_input_oracle(mode, backend):
+    make, scaling, vertices = _MODES[mode]
+    for seed in (3, 17):
+        _projected_and_oracle(make(), ARCTAN, scaling, vertices, backend,
+                              seed, 3.0)
+
+
+def test_projected_counts_are_left_limits():
+    # an event exactly at a grid time counts from the next grid time on
+    net = sample_network(3, 0.8, 0.5, seed=1)
+    trains = SpikeTrains(times=(np.array([0.5, 1.0]), np.array([]),
+                                np.array([0.25, 1.1, 1.75])), horizon=2.0)
+    grid = np.linspace(0.0, 2.0, 9)
+    rows = simulator._projection_rows(net, (0, 2))
+    np.testing.assert_array_equal(simulator._count_rows(trains, grid, rows),
+                                  rows @ trains.counts_on_grid(grid))
+
+
+@pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
+def test_projection_of_a_near_silent_run_spans_column_blocks(backend):
+    # rates of at most 0.05: one record() call crosses hundreds of grid
+    # points, more than one column block of h(S)
+    quiet = tabulated_transfer([-1.0, 1.0], [0.005, 0.05])
+    net = sample_network(40, 0.8, 0.5, seed=9)
+    res = _projected_and_oracle(net, quiet, "mean_field", (0, 1), backend, 9,
+                                10.0)
+    width = simulator._COLUMN_ITEMS // net.n
+    ts, _ = res.trains.merged()
+    crossed = np.diff(np.searchsorted(res.grid, np.concatenate(
+        ([0.0], ts, [res.grid[-1]])), side="right"))
+    assert 0 < res.trains.total_events and crossed.max() > 2 * width
 
 
 def test_spike_train_roundtrip_csv_and_jsonl(tmp_path):
