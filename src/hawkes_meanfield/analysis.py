@@ -859,21 +859,24 @@ def critical_verdicts(tables, tolerances):
 
 
 def _critical_plot_rows(tables):
-    """Paths against t (complementary: also the mean drifts), then scalars."""
+    """Paths against t (complementary: also the mean drifts), then scalars.
+
+    Yielded one at a time: the paths give 11 x 257 rows per replicate, and
+    the CSV text needs each row only while it joins it.
+    """
     t_grid = [_fmt(t) for t in tables["t_grid"]]
-    rows = [(name, t, _fmt(v), str(r)) for name in _CRITICAL_SERIES
-            for r, path in enumerate(tables["series"][name])
-            for t, v in zip(t_grid, path)]
+    yield from ((name, t, _fmt(v), str(r)) for name in _CRITICAL_SERIES
+                for r, path in enumerate(tables["series"][name])
+                for t, v in zip(t_grid, path))
     scalars = ["slope_diag", "slope_target", "slope_cross"]
     if tables["mode"] == "complementary":
-        rows += [(name, t, _fmt(v), "")
-                 for name in ("drift_mean0", "drift_mean1", "drift_gap_mean",
-                              "drift_gap_se")
-                 for t, v in zip(t_grid, tables[name])]
+        yield from ((name, t, _fmt(v), "")
+                    for name in ("drift_mean0", "drift_mean1",
+                                 "drift_gap_mean", "drift_gap_se")
+                    for t, v in zip(t_grid, tables[name]))
         scalars.append("increment_correlations")
     for name in scalars:
-        rows += _by_replicate(name, tables[name])
-    return rows
+        yield from _by_replicate(name, tables[name])
 
 
 # ----------------------------------------------------------------------
