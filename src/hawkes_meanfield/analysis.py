@@ -206,15 +206,16 @@ def _require_replicates(replicates, least):
           f"need at least {least} replicates")
 
 
-def _is_integer(n):
-    """A Python or numpy integer that is not a bool."""
-    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+def _require_integer(keyword, value):
+    """A size is a Python or numpy integer: no float, even an integral one,
+    and no bool."""
+    _need(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
+          ParameterError, keyword, f"{keyword}: {value!r} is not an integer")
 
 
 def _require_sizes(sizes, least):
-    odd = [s for s in sizes if not _is_integer(s)]
-    _need(not odd, ParameterError, "sizes",
-          f"sizes must be integers, got {odd!r}")
+    for s in sizes:
+        _require_integer("sizes", s)
     _need(len(sizes) >= least and all(s >= 1 for s in sizes)
           and sorted(set(sizes)) == list(sizes), ParameterError, "sizes",
           f"sizes must be a strictly increasing list of >= {least} sizes")
@@ -406,8 +407,7 @@ def _lln_plot_rows(tables):
 
 def _clt_contract(*, n, p, transfer, replicates, limit_samples, n_tracked,
                   **_):
-    _need(_is_integer(n), ParameterError, "n",
-          f"n must be an integer, got {n!r}")
+    _require_integer("n", n)
     _need(2 <= n_tracked <= n, ParameterError, "n_tracked",
           f"n_tracked must be >= 2 (a covariance pair) and <= n = {n}")
     _require_replicates(replicates, 8)
@@ -674,8 +674,7 @@ _CRITICAL_SERIES = (
 
 def _critical_contract(*, n, q, kernel, replicates, complementary,
                        net_seed=None, **_):
-    _need(_is_integer(n), ParameterError, "n",
-          f"n must be an integer, got {n!r}")
+    _require_integer("n", n)
     _need(n >= 2, ParameterError, "n",
           f"critical tracks vertices 0 and 1, so it needs n >= 2, got {n}")
     _need(not complementary or n % 2 == 0, ParameterError, "n",

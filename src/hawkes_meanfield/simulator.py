@@ -100,7 +100,7 @@ class SimulationConfig:
     path of that extraction; record_mean_rate keeps the vertex-averaged
     rate path.  All three need the exponential kernel.
 
-    Sup-norm statistics need neither: with the exponential kernel every
+    Sup-norm statistics need none of them: with the exponential kernel every
     result without record_full carries input_range, the smallest and largest
     vertex input at each grid time in one (2, len(grid)) array (a record_full
     result reads them as full_input.min/max(axis=0)).  Every recorded input

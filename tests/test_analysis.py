@@ -101,18 +101,18 @@ def test_parameter_guards(monkeypatch):
                          ("corollary", dict(replicates=8)),
                          ("independence", dict(replicates=10))):
         for sizes in ([15.5, 60], [15, 60.0], [True, 60]):
-            with pytest.raises(ParameterError, match="integers") as info:
+            with pytest.raises(ParameterError, match="not an integer") as info:
                 run_experiment(name, sizes=sizes, p=0.8, q=0.5, kernel=EXP,
                                transfer=ARCTAN, horizon=1.0, seed=1, **kwargs)
             assert info.value.keyword == "sizes"
     for n in (24.5, 24.0, True):
-        with pytest.raises(ParameterError, match="integer") as info:
+        with pytest.raises(ParameterError, match="not an integer") as info:
             clt_experiment(n=n, p=0.8, q=0.5, kernel=EXP, transfer=ARCTAN,
                            horizon=1.0, replicates=8, limit_samples=64,
                            seed=1)
         assert info.value.keyword == "n"
     for n, complementary in ((16.0, False), (16.5, True), (True, False)):
-        with pytest.raises(ParameterError, match="integer") as info:
+        with pytest.raises(ParameterError, match="not an integer") as info:
             critical_experiment(n=n, kernel=EXP, transfer=ARCTAN, horizon=1.0,
                                 replicates=5, seed=1,
                                 complementary=complementary)

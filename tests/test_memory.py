@@ -111,7 +111,7 @@ def test_experiment_peak_is_one_replicate(experiment):
         f"{experiment}: peak {peak} B > 1.05 x one replicate {single} B")
 
 
-_EXPERIMENTS = {
+_RUNS = {
     "corollary": lambda n, **common: corollary_experiment(
         sizes=[n // 4, n], p=0.8, q=0.5, replicates=8, **common),
     "critical-random": lambda n, **common: critical_experiment(
@@ -121,12 +121,12 @@ _EXPERIMENTS = {
 }
 
 
-@pytest.mark.parametrize("experiment", sorted(_EXPERIMENTS))
+@pytest.mark.parametrize("experiment", sorted(_RUNS))
 def test_experiment_allocates_no_recording_sized_array(experiment):
     n, grid_points = 1000, 2049
     common = dict(kernel=KERNELS["exponential"], transfer=arctan_transfer(),
                   horizon=0.1, seed=7)
-    run = _EXPERIMENTS[experiment]
+    run = _RUNS[experiment]
     run(16, **common)  # lazy imports (scipy.special in a verdict) load here
     peak = _traced_peak(lambda: run(n, **common))
     row = 8 * grid_points

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as sps
 
+from hawkes_meanfield import simulator
 from hawkes_meanfield.errors import (ContractError, ParameterError,
                                      RecordingMissingError,
                                      SchemeMismatchError)
@@ -13,7 +14,6 @@ from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
                                       exponential_kernel, tabulated_kernel,
                                       tabulated_transfer)
 from hawkes_meanfield.network import build_complementary_network, sample_network
-from hawkes_meanfield import simulator
 from hawkes_meanfield.simulator import (SimulationConfig, SpikeTrains,
                                         compensators,
                                         extract_martingale_paths,
@@ -374,8 +374,8 @@ def _projected_and_oracle(net, transfer, scaling, vertices, backend, seed,
     assert projected.martingale_rates.shape == (
         2 + 2 * k + k * (k - 1) // 2, len(projected.grid))
     assert projected.trains.total_events == oracle.trains.total_events
-    for a, b in zip(projected.trains.times, oracle.trains.times):
-        np.testing.assert_array_equal(a, b)
+    for x, y in zip(projected.trains.times, oracle.trains.times):
+        np.testing.assert_array_equal(x, y)
     a = extract_martingale_paths(projected, vertices)
     b = extract_martingale_paths(oracle, vertices)
     want = _definition(oracle, vertices)
