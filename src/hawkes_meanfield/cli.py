@@ -44,11 +44,22 @@ TOOL_NAME = "hawkes-meanfield"
 
 
 def _write_atomic(path, text):
-    """Write via a temp file in the same directory, then rename over."""
+    """Write via a temp file in the same directory, then rename over.
+
+    A path that cannot be written raises ConfigError naming it, and the
+    temp file is removed whatever the failure.
+    """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: "
+                          f"{exc.strerror or exc}") from exc
+    finally:  # gone already after a successful rename
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
 
 
 def _json_text(obj):
@@ -156,7 +167,8 @@ def _cmd_simulate(args):
     if isinstance(cfg.n, list):
         raise ConfigError("model.n: simulate takes a single size")
     outdir = _ensure_outdir(cfg, args.made_dirs)
-    jobs = _resolve_jobs(args)
+    # a forked pool starts all its workers at the first submit
+    jobs = min(_resolve_jobs(args), cfg.replicates)
     net = (None if cfg.net_seed is None
            else sample_network(cfg.n, cfg.p, cfg.q, cfg.net_seed))
     # only event times are written, and no recording grid changes them

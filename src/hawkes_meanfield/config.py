@@ -26,7 +26,9 @@ the offending field, so a typo like "modle" or "lamda" fails loudly
 instead of silently running the wrong experiment.  `validate_config`
 returns an `ExperimentConfig` whose `resolved()` form fills in every
 default; feeding that form back through validation is a fixed point,
-which is what makes manifests replayable.
+which is what makes manifests replayable.  Each kernel and transfer kind
+is one `_FUNCTIONS` entry: its parameters are read here, and its `kernels`
+constructor checks their values.
 
 Without "experiment", `run.dt` is the mean-field grid step of `meanfield`
 and `fluctuations`, which samples one vertex path per `run.tracked_vertices`
@@ -136,69 +138,56 @@ def _float_list(obj, path):
     return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
 
 
-def _tabulated_spec(params, path, build):
-    """Equal-length `nodes` and `values` arrays of one tabulated function.
+# model.<what> kind -> (constructor, {parameter: reader}): the config fields
+# of each kind, passed to its constructor by name, which checks their values
+_FUNCTIONS = {
+    "kernel": {
+        "exponential": (exponential_kernel, {"rate": _number}),
+        "tabulated": (tabulated_kernel, {"nodes": _float_list,
+                                         "values": _float_list}),
+    },
+    "transfer": {
+        "arctan": (arctan_transfer, {}),
+        "constant": (constant_transfer, {"value": _number}),
+        "tabulated": (tabulated_transfer, {"nodes": _float_list,
+                                           "values": _float_list}),
+    },
+}
 
-    `build` is the constructor the table will be built with; whatever it
-    refuses is refused here, at `path`, before any run starts.
+
+def _function_spec(obj, what):
+    """The {kind: {parameter: value}} spec of model.<what>.
+
+    The spec is built once with its kind's constructor; whatever that
+    refuses is refused here, at model.<what>.<kind>, before any run starts.
     """
+    path, kinds = f"model.{what}", _FUNCTIONS[what]
+    obj = _mapping(obj, path)
+    if len(obj) != 1:
+        _fail(path, f"expected exactly one of: {', '.join(kinds)}")
+    (kind, params), = obj.items()
+    if kind not in kinds:
+        _fail(f"{path}.{kind}",
+              f"unknown {what} kind (allowed: {', '.join(kinds)})")
+    build, readers = kinds[kind]
+    path = f"{path}.{kind}"
     params = _mapping(params, path)
-    _only_keys(params, path, {"nodes", "values"})
-    for key in ("nodes", "values"):
+    _only_keys(params, path, readers)
+    for key in readers:
         if key not in params:
             _fail(f"{path}.{key}", "required")
-    nodes = _float_list(params["nodes"], f"{path}.nodes")
-    values = _float_list(params["values"], f"{path}.values")
-    if len(nodes) != len(values):
-        _fail(path, "nodes and values must have equal length")
+    spec = {key: read(params[key], f"{path}.{key}")
+            for key, read in readers.items()}
     try:
-        build(nodes, values)
+        build(**spec)
     except ToolkitError as exc:
         _fail(path, str(exc))
-    return {"tabulated": {"nodes": nodes, "values": values}}
+    return {kind: spec}
 
 
-def _kernel_spec(obj, path):
-    obj = _mapping(obj, path)
-    if len(obj) != 1:
-        _fail(path, "expected exactly one of: exponential, tabulated")
-    kind, params = next(iter(obj.items()))
-    if kind == "exponential":
-        params = _mapping(params, f"{path}.exponential")
-        _only_keys(params, f"{path}.exponential", {"rate"})
-        if "rate" not in params:
-            _fail(f"{path}.exponential.rate", "required")
-        rate = _number(params["rate"], f"{path}.exponential.rate")
-        if rate <= 0:
-            _fail(f"{path}.exponential.rate", "must be > 0")
-        return {"exponential": {"rate": rate}}
-    if kind == "tabulated":
-        return _tabulated_spec(params, f"{path}.tabulated", tabulated_kernel)
-    _fail(f"{path}.{kind}", "unknown kernel kind "
-          "(allowed: exponential, tabulated)")
-
-
-def _transfer_spec(obj, path):
-    obj = _mapping(obj, path)
-    if len(obj) != 1:
-        _fail(path, "expected exactly one of: arctan, constant, tabulated")
-    kind, params = next(iter(obj.items()))
-    if kind == "arctan":
-        params = _mapping(params, f"{path}.arctan")
-        _only_keys(params, f"{path}.arctan", set())
-        return {"arctan": {}}
-    if kind == "constant":
-        params = _mapping(params, f"{path}.constant")
-        _only_keys(params, f"{path}.constant", {"value"})
-        if "value" not in params:
-            _fail(f"{path}.constant.value", "required")
-        value = _number(params["value"], f"{path}.constant.value", lo=0.0)
-        return {"constant": {"value": value}}
-    if kind == "tabulated":
-        return _tabulated_spec(params, f"{path}.tabulated",
-                               tabulated_transfer)
-    _fail(f"{path}.{kind}", "unknown transfer kind "
-          "(allowed: arctan, constant, tabulated)")
+def _build(what, spec):
+    (kind, params), = spec.items()
+    return _FUNCTIONS[what][kind][0](**params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -224,18 +213,10 @@ class ExperimentConfig:
     tolerances: dict
 
     def build_kernel(self):
-        (kind, params), = self.kernel_spec.items()
-        if kind == "exponential":
-            return exponential_kernel(params["rate"])
-        return tabulated_kernel(params["nodes"], params["values"])
+        return _build("kernel", self.kernel_spec)
 
     def build_transfer(self):
-        (kind, params), = self.transfer_spec.items()
-        if kind == "arctan":
-            return arctan_transfer()
-        if kind == "constant":
-            return constant_transfer(params["value"])
-        return tabulated_transfer(params["nodes"], params["values"])
+        return _build("transfer", self.transfer_spec)
 
     def resolved(self):
         """Canonical JSON-ready dict; validates back to an equal config."""
@@ -324,8 +305,8 @@ def validate_config(raw):
 
     p = _number(model["p"], "model.p", lo=0.0, hi=1.0)
     q = _number(model["q"], "model.q", lo=0.0, hi=1.0)
-    kernel_spec = _kernel_spec(model["kernel"], "model.kernel")
-    transfer_spec = _transfer_spec(model["transfer"], "model.transfer")
+    kernel_spec = _function_spec(model["kernel"], "kernel")
+    transfer_spec = _function_spec(model["transfer"], "transfer")
 
     scaling = _choice(model.get("scaling", regime or "mean_field"),
                       "model.scaling", SCALINGS)

@@ -77,6 +77,8 @@ def test_single_size_promoted_for_multi_size_experiments():
     (lambda d: d["model"].update(kernel={"exponential": {"lambda": 1.0}}),
      "model.kernel.exponential.lambda"),
     (lambda d: d["model"].update(kernel={"gamma": {}}), "model.kernel.gamma"),
+    (lambda d: d["model"].update(kernel={"exponential": {"rate": 0.0}}),
+     "model.kernel.exponential"),
     (lambda d: d["model"].update(transfer={"arctan": {"scale": 2.0}}),
      "model.transfer.arctan.scale"),
     (lambda d: d.update(experiment="landau"), "experiment"),
@@ -163,10 +165,21 @@ def _refused(experiment=None, model=None, run=None, options=None):
     (_refused("independence", run={"replicates": 10},
               options={"m_vertices": 2.5}),
      "options.m_vertices: expected an integer, got float"),
+    # kernel and transfer values are refused by their constructors
+    (_refused(model={"kernel": {"exponential": {"rate": 0}}}),
+     "model.kernel.exponential: exponential kernel needs rate > 0, got 0.0"),
+    (_refused(model={"transfer": {"constant": {"value": -1.0}}}),
+     "model.transfer.constant: constant transfer needs value >= 0, "
+     "got -1.0"),
+    (_refused(model={"kernel": {"tabulated": {"nodes": [0.0, 1.0, 2.0],
+                                              "values": [1.0, 0.0]}}}),
+     "model.kernel.tabulated: need matching 1-d nodes/values with >= 2 "
+     "points"),
 ], ids=["critical-p", "critical-scaling", "lln-scaling", "plain-critical-p",
         "clt-sizes", "lln-net-seed", "lln-options", "plain-options",
         "clt-unknown-option", "complementary-not-bool", "limit-samples-floor",
-        "m-vertices-not-int"])
+        "m-vertices-not-int", "kernel-rate-zero", "constant-negative",
+        "table-lengths-differ"])
 def test_config_refusals_keep_their_text(doc, message):
     with pytest.raises(ConfigError) as err:
         validate_config(doc)
@@ -322,6 +335,37 @@ def test_parallel_simulate_matches_sequential(tmp_path, monkeypatch):
     monkeypatch.setenv("HAWKES_MF_JOBS", "many")
     assert main(["simulate", "--config", cfg,
                  "--out", str(tmp_path / "bad")]) == 2
+
+
+def test_simulate_starts_no_more_workers_than_replicates(tmp_path,
+                                                        monkeypatch):
+    # a forked pool starts all max_workers at its first submit; this fake
+    # records the count and maps in-process, so no process is started
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor",
+                        InlinePool)
+    cfg = _write(tmp_path, _doc())
+    for replicates, pools, jobs in [("2", [2], 2), ("1", [], 1)]:
+        out = tmp_path / replicates
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--replicates", replicates, "--jobs", "64"]) == 0
+        assert started == pools
+        assert json.loads((out / "manifest.json").read_text())["jobs"] == jobs
+        started.clear()
 
 
 def test_meanfield_balanced_run_is_flat_zero(tmp_path):
@@ -563,6 +607,26 @@ def test_output_path_that_cannot_be_created_exits_two(tmp_path, capsys,
     assert err.startswith("config error: cannot create output directory "
                           f"{blocker / 'sub'}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command, artifact", [("meanfield", "I.csv"),
+                                               ("verify", "report.json")])
+def test_artifact_that_cannot_be_written_exits_two(tmp_path, capsys,
+                                                   command, artifact):
+    # a directory at the artifact's name makes the rename over it fail
+    doc = _doc()
+    if command == "verify":
+        doc.update(experiment="lln")
+        doc["model"]["n"] = [15, 30]
+        doc["run"].update(horizon=1.0, replicates=3)
+    out = tmp_path / "out"
+    (out / artifact).mkdir(parents=True)
+    assert main([command, "--config", _write(tmp_path, doc),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: cannot write {out / artifact}: "
+                   "Is a directory\n")
+    assert not list(out.glob("*.tmp"))
 
 
 def test_output_name_too_long_exits_two_and_removes_its_parents(tmp_path,
