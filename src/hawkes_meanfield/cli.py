@@ -6,11 +6,13 @@
     hawkes-mf verify       --experiment lln --config cfg.json --out runs/lln
     hawkes-mf plot-data    runs/lln/report.json --out runs/lln/plotdata.csv
 
-Every run writes a manifest.json holding the tool version, the fully
-resolved config and the seed expansion; a manifest can be passed back as
---config to replay the run.  No artifact contains timestamps or other
-run-local noise, so a replay is byte-identical.  CSV files start with a
-`# schema: <name> v1` comment line.
+Every run writes a manifest.json holding the tool version and output
+revision, the fully resolved config and the seed expansion; a manifest can
+be passed back as --config to replay the run.  No artifact contains
+timestamps or other run-local noise, so a replay is byte-identical; a
+manifest written at another output revision (rng.OUTPUT_REVISION) may not
+replay to the same bytes, and its replay says so in one line on stderr.
+CSV files start with a `# schema: <name> v1` comment line.
 
 Exit status: 0 on success, 1 when verify produced a FAIL verdict, 2 on
 usage or config errors.  On exit 2 the output directories the run created
@@ -29,12 +31,12 @@ from pathlib import Path
 from . import __version__
 from .analysis import (_BACKENDS, _EXPERIMENTS, _downsample_stride,
                        _replicate, report_from_dict, run_experiment)
-from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, load_config,
+from .config import (BACKENDS, EXPERIMENTS, experiment_kwargs, read_config,
                      read_json, validate_config)
 from .errors import ConfigError, ToolkitError
 from .fluctuations import simulate_fluctuations
 from .network import sample_network
-from .rng import replicate_seed
+from .rng import OUTPUT_REVISION, replicate_seed
 from .simulator import format_spike_trains
 from .volterra import solve_mean_field
 
@@ -90,7 +92,11 @@ def _resolve_jobs(args):
 
 
 def _load_cfg(args, experiment_flag=None):
-    raw = load_config(args.config)
+    raw, revision = read_config(args.config)
+    if revision is not None and revision != OUTPUT_REVISION:
+        print(f"note: {args.config} was written at output revision "
+              f"{revision!r}, this is revision {OUTPUT_REVISION}: its "
+              f"outputs may differ in their last bits", file=sys.stderr)
     if experiment_flag:
         if not isinstance(raw, dict):
             raise ConfigError("config: expected a JSON object")
@@ -138,7 +144,8 @@ def _ensure_outdir(cfg, made):
 
 def _write_manifest(outdir, command, cfg, jobs=1):
     manifest = {
-        "tool": {"name": TOOL_NAME, "version": __version__},
+        "tool": {"name": TOOL_NAME, "version": __version__,
+                 "revision": OUTPUT_REVISION},
         "command": command,
         "jobs": jobs,
         "resolved_config": cfg.resolved(),

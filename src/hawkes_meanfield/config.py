@@ -260,12 +260,23 @@ def read_json(path, what):
         raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
-def load_config(path):
-    """Read a config file; a manifest.json is accepted and unwrapped."""
+def read_config(path):
+    """(config, revision) of a config file.
+
+    A manifest.json is accepted and unwrapped; revision is the output
+    revision it records (0 if it records none), or None for a plain config.
+    """
     raw = read_json(path, "config")
     if isinstance(raw, dict) and "resolved_config" in raw:
-        raw = raw["resolved_config"]
-    return raw
+        tool = raw.get("tool")
+        revision = tool.get("revision", 0) if isinstance(tool, dict) else 0
+        return raw["resolved_config"], revision
+    return raw, None
+
+
+def load_config(path):
+    """Read a config file; a manifest.json is accepted and unwrapped."""
+    return read_config(path)[0]
 
 
 def validate_config(raw):

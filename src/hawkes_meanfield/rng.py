@@ -26,6 +26,12 @@ key                   consumed by
                       which uses the exact limit moments
 (seed, REPLICATE, r)  replicate seed derivation (two uint32 words)
 ====================  =======================================================
+
+OUTPUT_REVISION counts the changes to this layout, and to float rounding,
+that moved a report, plot-data or command-line artifact of an unchanged
+config.  Every manifest records it, so a replay can say when its outputs may
+not be byte-identical to the run that wrote the manifest.  Bump it in the
+change that regenerates the golden digests.
 """
 
 import numpy as np
@@ -37,6 +43,8 @@ ACCEPT = 3
 TIMECHANGE = 4
 FLUCT = 5
 REPLICATE = 90
+
+OUTPUT_REVISION = 0
 
 
 def stream(seed, *key):

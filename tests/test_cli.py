@@ -12,7 +12,7 @@ from hawkes_meanfield.config import (experiment_kwargs, load_config,
                                      validate_config)
 from hawkes_meanfield.errors import ConfigError, ParameterError
 from hawkes_meanfield.network import sample_network
-from hawkes_meanfield.rng import replicate_seed
+from hawkes_meanfield.rng import OUTPUT_REVISION, replicate_seed
 from hawkes_meanfield.simulator import (SimulationConfig, format_spike_trains,
                                         simulate_thinning)
 
@@ -191,6 +191,37 @@ def test_manifest_files_load_as_configs(tmp_path):
     manifest = {"tool": {"name": "x"}, "resolved_config": cfg.resolved()}
     path = _write(tmp_path, manifest, "manifest.json")
     assert validate_config(load_config(path)) == cfg
+
+
+def test_replay_of_another_revision_says_so_and_writes_the_same(tmp_path,
+                                                                 capsys):
+    assert main(["meanfield", "--config", _write(tmp_path, _doc()),
+                 "--out", str(tmp_path / "a")]) == 0
+    manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+    assert manifest["tool"]["revision"] == OUTPUT_REVISION
+    capsys.readouterr()
+    # the manifest's own revision replays quietly; an older one, or none
+    # (revision 0), prints one line naming both revisions
+    older = dict(manifest, tool=dict(manifest["tool"],
+                                     revision=OUTPUT_REVISION - 1))
+    unnumbered = dict(manifest, tool={"name": "x"})
+    for name, doc, written in (("same", manifest, OUTPUT_REVISION),
+                               ("older", older, OUTPUT_REVISION - 1),
+                               ("none", unnumbered, 0)):
+        path = _write(tmp_path, doc, f"{name}.json")
+        assert main(["meanfield", "--config", path,
+                     "--out", str(tmp_path / name)]) == 0
+        err = capsys.readouterr().err
+        if written == OUTPUT_REVISION:
+            assert err == ""
+        else:
+            assert err == (f"note: {path} was written at output revision "
+                           f"{written}, this is revision {OUTPUT_REVISION}: "
+                           f"its outputs may differ in their last bits\n")
+        assert (tmp_path / name / "I.csv").read_bytes() == \
+            (tmp_path / "a" / "I.csv").read_bytes()
+        replayed = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert replayed["tool"] == manifest["tool"]
 
 
 def test_builders_and_kwargs():

@@ -11,9 +11,12 @@ the `simulate`, `meanfield` and `fluctuations` commands write.  A refactor of
 the event loops, the grid recorder, the experiment drivers, the fluctuation
 integrator or the command line must reproduce every digest; a change that
 alters the RNG stream layout or float rounding of these outputs must say so
-in CHANGES.md and regenerate the table with
+in CHANGES.md, bump rng.OUTPUT_REVISION and regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
+
+The table records the revision it was taken at, so a regenerated table
+without the bump, or a bump without regenerated digests, fails.
 
 The recorded paths, every report built from them, and the fluctuation
 values pass through numpy's vectorised exp (and arctan), whose last bit depends on the SIMD path numpy dispatches to.
@@ -42,6 +45,7 @@ from hawkes_meanfield.fluctuations import (sample_terminal_fluctuations,
 from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
                                      tabulated_kernel)
 from hawkes_meanfield.network import sample_network
+from hawkes_meanfield.rng import OUTPUT_REVISION
 from hawkes_meanfield.simulator import (SimulationConfig,
                                         recompute_input_from_trains,
                                         simulate_thinning,
@@ -323,6 +327,10 @@ def test_plotdata_digests(case):
     assert _plotdata_digest(case) == table["plotdata"][case]
 
 
+def test_table_was_taken_at_this_output_revision():
+    assert _table()["revision"] == OUTPUT_REVISION
+
+
 @pytest.mark.parametrize("case", sorted(_CLI_CASES))
 def test_cli_artifact_digests(case, tmp_path):
     table = _table()
@@ -344,7 +352,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir, \
             contextlib.redirect_stdout(sys.stderr):
         cli = {case: _cli_hashes(case, workdir) for case in sorted(_CLI_CASES)}
-    table = {"machine": _machine(),
+    table = {"machine": _machine(), "revision": OUTPUT_REVISION,
              "cases": {case: _hashes(_run(*args)[2])
                        for case, args in sorted(_cases().items())},
              "reports": {case: _report_digest(case)
