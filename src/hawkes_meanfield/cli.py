@@ -253,11 +253,11 @@ def _cmd_verify(args):
     kwargs = experiment_kwargs(cfg)
     outdir = _ensure_outdir(cfg, args.made_dirs)
     report = run_experiment(cfg.experiment, **kwargs)
-    _write_manifest(outdir, "verify", cfg)
     _write_atomic(outdir / "report.json", _json_text(report.to_dict()))
     summary = report.summary_lines()
     _write_atomic(outdir / "summary.txt", "\n".join(summary) + "\n")
     _write_atomic(outdir / "plotdata.csv", _plot_csv(report))
+    _write_manifest(outdir, "verify", cfg)
     for line in summary:
         print(line)
     return 0 if report.all_passed else 1

@@ -658,6 +658,8 @@ def test_artifact_that_cannot_be_written_exits_two(tmp_path, capsys,
     assert err == (f"config error: cannot write {out / artifact}: "
                    "Is a directory\n")
     assert not list(out.glob("*.tmp"))
+    # the manifest is written last: none stands beside missing artifacts
+    assert not (out / "manifest.json").exists()
 
 
 def test_output_name_too_long_exits_two_and_removes_its_parents(tmp_path,
