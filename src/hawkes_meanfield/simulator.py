@@ -489,11 +489,17 @@ def simulate_thinning(net: NetworkConfiguration, kernel: Kernel,
         pick = stream(cfg.seed, VERTEX_PICK)
         acc = stream(cfg.seed, ACCEPT)
         scale = 1.0 / big_lambda
+        # the first block holds the expected candidate count mu = N ||h|| T
+        # and six standard deviations more, so a short run converts no
+        # _BLOCK-sized lists; each stream draws the same values in any split
+        mu = big_lambda * horizon
+        size = min(_BLOCK, math.ceil(mu + 6.0 * math.sqrt(mu)) + 1)
         done = False
         while not done:
-            gaps = cand.exponential(scale, _BLOCK).tolist()
-            picks = pick.integers(0, n, _BLOCK).tolist()
-            accepts = acc.random(_BLOCK).tolist()
+            gaps = cand.exponential(scale, size).tolist()
+            picks = pick.integers(0, n, size).tolist()
+            accepts = acc.random(size).tolist()
+            size = _BLOCK
             for gap, i, u in zip(gaps, picks, accepts):
                 t += gap
                 if t >= horizon:

@@ -43,6 +43,19 @@ def test_same_seed_same_events():
     np.testing.assert_array_equal(a.tracked_input, b.tracked_input)
 
 
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_thinning_events_do_not_depend_on_the_candidate_block(monkeypatch,
+                                                             block):
+    # each candidate block continues its three streams, so any split of the
+    # draws, the short first block included, fires the same events
+    _, _, want = _small_run()
+    monkeypatch.setattr(simulator, "_BLOCK", block)
+    _, _, got = _small_run()
+    assert got.diagnostics == want.diagnostics
+    for x, y in zip(got.trains.times, want.trains.times):
+        np.testing.assert_array_equal(x, y)
+
+
 def test_different_seeds_differ():
     _, _, a = _small_run(seed=41)
     _, _, b = _small_run(seed=42)
