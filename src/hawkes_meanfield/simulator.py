@@ -30,10 +30,11 @@ the whole input as the oracle that the projection is checked against.
 
 There are two implementations.  For the exponential kernel S is one lazily
 decayed vector (all components share the decay factor, so a single sync time
-suffices); a grid crossing stores the undecayed state with its sync time and
-close decays every recorded column to its grid time in one pass.  Any other
-kernel re-evaluates the spike history in a window truncated where phi drops
-below 1e-12 of its sup.
+suffices); a grid crossing only buffers the undecayed state with its sync
+time, and one flush per block of grid points decays the block to its grid
+times and reduces it, so no whole-grid sync array and no decay pass at close
+remain.  Any other kernel re-evaluates the spike history in a window
+truncated where phi drops below 1e-12 of its sup.
 
 Neither reads a dense weight matrix.  Both take the uint8 adjacency and the
 per-source coefficients theta * U_j, forming each weight as
@@ -75,8 +76,10 @@ __all__ = [
 ]
 
 _BLOCK = 8192
-# float64 items per column block of h(S) evaluated at a grid crossing (32 KiB)
+# float64 items per block of buffered grid crossings (32 KiB), but at least
+# _MIN_ROWS grid points per block, so a large N still flushes in batches
 _COLUMN_ITEMS = 1 << 12
+_MIN_ROWS = 16
 
 
 @dataclass(frozen=True)
@@ -226,18 +229,22 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     """(at, fire, close) over one lazily decayed input vector.
 
     Exponential kernel only: all components share the decay factor, so the
-    vector and one sync time describe S exactly.  At a grid crossing fire
-    stores the undecayed state with its sync time, and close multiplies every
-    recorded column by exp(-rate * (g - sync)) once.  mean_rate and the
-    projected rates rows @ h(S) (martingale_rates, when rows is given) are
-    the exception: h is not linear, so they are taken from the decayed state
-    at the crossing, _COLUMN_ITEMS values of h at a time, so that a call
-    crossing many grid points allocates no N x grid block.  One input array
-    is recorded per run: the whole state (full_input) under record_full, or
-    else its min and max (input_range), which a positive factor keeps in
-    order, so decaying them at close gives the extremes of the decayed
-    column.  The closures keep their state in local cells, not attributes:
-    at and fire run once per candidate and per event.
+    vector and one sync time describe S exactly.  A grid crossing only
+    buffers: fire copies the undecayed state and its sync time into the row
+    of the crossed grid point in one reused (width, N) block.  When the
+    block holds width grid points, and at close, one flush multiplies each
+    row by exp(-rate * (g - sync)) and reduces the whole block: the tracked
+    inputs, the mean, and one recorded input array per run, the whole state
+    (full_input) under record_full, or else its min and max (input_range),
+    which a positive factor keeps in order, so decaying them gives the
+    extremes of the decayed row.  mean_rate and the projected rates
+    rows @ h(S) (martingale_rates, when rows is given) apply h to the
+    decayed block, since h is not linear.  Blocks start at multiples of
+    width from grid index 0, so every recorded value depends on the grid
+    and the events alone, not on how the events split the crossings; width
+    keeps a block near _COLUMN_ITEMS values, and no call allocates an
+    N x grid array.  The closures keep their state in local cells, not
+    attributes: at and fire run once per candidate and per event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -258,35 +265,48 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     mean_input = np.zeros(m1)
     mean_rate = np.zeros(m1) if cfg.record_mean_rate else None
     rates = None if rows is None else np.zeros((len(rows), m1))
-    width = max(1, _COLUMN_ITEMS // n)
     full = cfg.record_full
     inputs = np.zeros((n if full else 2, m1))
-    sync = np.zeros(m1)
+    width = min(m1, max(_MIN_ROWS, _COLUMN_ITEMS // n))
+    block = np.empty((width, n))
+    syncs = np.empty(width)
+    base = 0
     next_idx = 0
     next_t = grid_list[0]
 
+    def flush(e):
+        """Decay and reduce the buffered grid points base..e-1."""
+        nonlocal base
+        b = base
+        buffered = block[:e - b]
+        decays = np.exp(-lam * (grid[b:e] - syncs[:e - b]))
+        tracked_paths[:, b:e] = buffered[:, tracked].T * decays
+        mean_input[b:e] = np.add.reduce(buffered, axis=1) / n * decays
+        if full:
+            inputs[:, b:e] = buffered.T * decays
+        else:
+            inputs[0, b:e] = buffered.min(axis=1) * decays
+            inputs[1, b:e] = buffered.max(axis=1) * decays
+        if mean_rate is not None or rates is not None:
+            h = transfer(buffered * decays[:, None])
+            if mean_rate is not None:
+                mean_rate[b:e] = h.mean(axis=1)
+            if rates is not None:
+                rates[:, b:e] = rows @ h.T
+        base = e
+
     def record(t):
-        """Store the undecayed state for every pending grid point g <= t."""
+        """Buffer the undecayed state for every pending grid point g <= t."""
         nonlocal next_idx, next_t
         a = next_idx
         j = bisect.bisect_right(grid_list, t, a)
-        tracked_paths[:, a:j] = state[tracked, None]
-        mean_input[a:j] = np.add.reduce(state) / n
-        sync[a:j] = t_sync
-        if full:
-            inputs[:, a:j] = state[:, None]
-        else:
-            inputs[0, a:j] = state.min()
-            inputs[1, a:j] = state.max()
-        if mean_rate is not None or rates is not None:
-            for b in range(a, j, width):
-                e = min(b + width, j)
-                decays = np.exp(-lam * (grid[b:e] - t_sync))
-                h = transfer(state[:, None] * decays[None, :])
-                if mean_rate is not None:
-                    mean_rate[b:e] = h.mean(axis=0)
-                if rates is not None:
-                    rates[:, b:e] = rows @ h
+        while a < j:
+            e = min(j, base + width)
+            block[a - base:e - base] = state
+            syncs[a - base:e - base] = t_sync
+            a = e
+            if e - base == width:
+                flush(e)
         next_idx = j
         next_t = grid_list[j] if j < m1 else math.inf
 
@@ -304,12 +324,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
         t_sync = t
 
     def close(horizon):
-        nonlocal tracked_paths, mean_input, inputs
         record(horizon)
-        decays = np.exp(-lam * (grid - sync))
-        tracked_paths *= decays
-        mean_input *= decays
-        inputs *= decays
+        if base < m1:
+            flush(m1)
         recorded = {"tracked_input": tracked_paths, "mean_input": mean_input,
                     "full_input" if full else "input_range": inputs}
         if mean_rate is not None:

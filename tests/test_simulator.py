@@ -1,5 +1,6 @@
 """Event simulation: determinism, oracle agreement, backend equivalence."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -375,8 +376,8 @@ def _assert_close(x, y, label):
 
 
 def _projected_and_oracle(net, transfer, scaling, vertices, backend, seed,
-                          horizon):
-    common = dict(horizon=horizon, seed=seed, scaling=scaling,
+                          horizon, dt=None):
+    common = dict(horizon=horizon, seed=seed, scaling=scaling, dt=dt,
                   tracked_vertices=())
     projected = backend(net, EXP, transfer, SimulationConfig(
         martingale_vertices=vertices, **common))
@@ -438,6 +439,85 @@ def test_projection_of_a_near_silent_run_spans_column_blocks(backend):
     crossed = np.diff(np.searchsorted(res.grid, np.concatenate(
         ([0.0], ts, [res.grid[-1]])), side="right"))
     assert 0 < res.trains.total_events and crossed.max() > 2 * width
+
+
+def _blocks_touched(res, width):
+    """For each record() call that buffers grid points, how many blocks of
+    width grid points (counted from grid index 0) it writes into."""
+    ts, _ = res.trains.merged()
+    ends = np.searchsorted(res.grid, np.append(ts, res.grid[-1]),
+                           side="right")
+    starts = np.concatenate(([0], ends[:-1]))
+    live = starts < ends
+    return (ends[live] - 1) // width - starts[live] // width + 1
+
+
+def _assert_exact_recording(net, cfg, res, full, vertices):
+    """full_input at the vertices against the reconvolution of the trains,
+    and every input res recorded bit for bit against the record_full run."""
+    vertices = list(vertices)
+    exact = recompute_input_from_trains(net, EXP, cfg.theta(net.n),
+                                        full.trains, full.grid, vertices)
+    np.testing.assert_allclose(full.full_input[vertices], exact, rtol=0.0,
+                               atol=1e-13)
+    np.testing.assert_array_equal(
+        res.tracked_input, full.full_input[list(cfg.tracked_vertices)])
+    np.testing.assert_array_equal(res.mean_input, full.mean_input)
+    np.testing.assert_array_equal(res.input_range, np.vstack(
+        [full.full_input.min(axis=0), full.full_input.max(axis=0)]))
+
+
+@pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
+def test_batched_recording_across_block_boundaries(backend):
+    # 801 grid points in blocks of 102: a partial last block, record() calls
+    # that write into two blocks and calls that write into more than two
+    quiet = tabulated_transfer([-1.0, 1.0], [0.005, 0.05])
+    net = sample_network(40, 0.8, 0.5, seed=9)
+    res = _projected_and_oracle(net, quiet, "mean_field", (0, 1), backend, 9,
+                                10.0, dt=0.0125)
+    width = max(simulator._MIN_ROWS, simulator._COLUMN_ITEMS // net.n)
+    touched = _blocks_touched(res, width)
+    assert len(res.grid) % width and touched.max() > 2 and 2 in touched
+    cfg = SimulationConfig(horizon=10.0, seed=9, dt=0.0125,
+                           tracked_vertices=(0, 7))
+    full = backend(net, EXP, quiet, dataclasses.replace(cfg,
+                                                        record_full=True))
+    _assert_exact_recording(net, cfg, backend(net, EXP, quiet, cfg), full,
+                            range(net.n))
+
+
+def test_recorded_inputs_do_not_depend_on_the_block_width(monkeypatch):
+    # blocks of 3 grid points against the default blocks of 204: every
+    # input is the same product of a state and its decay
+    _, cfg, want = _small_run(record_full=True, martingale_vertices=(0, 1))
+    monkeypatch.setattr(simulator, "_COLUMN_ITEMS", 1)
+    monkeypatch.setattr(simulator, "_MIN_ROWS", 3)
+    net, _, got = _small_run(record_full=True, martingale_vertices=(0, 1))
+    assert _blocks_touched(got, 3).max() > 1
+    for name in ("tracked_input", "mean_input", "full_input"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    # a product of other shape may round the projection's last bits
+    _assert_close(got.martingale_rates, want.martingale_rates,
+                  "martingale_rates")
+    _assert_close(got.martingale_rates, simulator._projection_rows(
+        net, (0, 1)) @ ARCTAN(want.full_input), "martingale_rates")
+
+
+def test_large_network_records_in_blocks_of_the_row_floor():
+    # N > _COLUMN_ITEMS: the byte budget allows less than one row per
+    # block, so blocks hold _MIN_ROWS grid points; 41 is no multiple of it
+    net = sample_network(simulator._COLUMN_ITEMS + 4, 0.8, 0.5, seed=3)
+    assert simulator._COLUMN_ITEMS // net.n < simulator._MIN_ROWS
+    horizon, dt = 0.2, 0.005
+    _projected_and_oracle(net, ARCTAN, "mean_field", (0, 1),
+                          simulate_thinning, 3, horizon, dt=dt)
+    cfg = SimulationConfig(horizon=horizon, seed=3, dt=dt,
+                           tracked_vertices=(0, 1, net.n - 1))
+    res = simulate_thinning(net, EXP, ARCTAN, cfg)
+    full = simulate_thinning(net, EXP, ARCTAN,
+                             dataclasses.replace(cfg, record_full=True))
+    assert len(res.grid) % simulator._MIN_ROWS and res.trains.total_events
+    _assert_exact_recording(net, cfg, res, full, cfg.tracked_vertices)
 
 
 def test_spike_train_roundtrip_csv_and_jsonl(tmp_path):
