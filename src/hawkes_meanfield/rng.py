@@ -44,7 +44,7 @@ TIMECHANGE = 4
 FLUCT = 5
 REPLICATE = 90
 
-OUTPUT_REVISION = 0
+OUTPUT_REVISION = 1
 
 
 def stream(seed, *key):
