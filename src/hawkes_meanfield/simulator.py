@@ -241,9 +241,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     rows @ h(S) (martingale_rates, when rows is given) apply h to the
     decayed block, since h is not linear.  Blocks start at multiples of
     width from grid index 0, so every recorded value depends on the grid
-    and the events alone, not on how the events split the crossings; width
-    keeps a block near _COLUMN_ITEMS values, and no call allocates an
-    N x grid array.  The closures keep their state in local cells, not
+    and the events alone, not on how the events split the crossings.  A
+    block holds at most _COLUMN_ITEMS values, or _MIN_ROWS grid points
+    where N is larger, so no call allocates an N x grid array.  The closures keep their state in local cells, not
     attributes: at and fire run once per candidate and per event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
@@ -506,10 +506,12 @@ def simulate_thinning(net: NetworkConfiguration, kernel: Kernel,
         pick = stream(cfg.seed, VERTEX_PICK)
         acc = stream(cfg.seed, ACCEPT)
         scale = 1.0 / big_lambda
-        # the first block holds the expected candidate count mu = N ||h|| T
-        # and six standard deviations more, so a short run converts no
+        # the first block holds the expected candidate count N ||h|| T and
+        # six standard deviations more, so a short run converts no
         # _BLOCK-sized lists; each stream draws the same values in any split
-        mu = big_lambda * horizon
+        # (mu is capped at _BLOCK, where the size is _BLOCK anyway, so an
+        # overflowing product still gives a size)
+        mu = min(big_lambda * horizon, _BLOCK)
         size = min(_BLOCK, math.ceil(mu + 6.0 * math.sqrt(mu)) + 1)
         done = False
         while not done:
