@@ -15,8 +15,8 @@ in CHANGES.md, bump rng.OUTPUT_REVISION and regenerate the table with
 
     PYTHONPATH=src python tests/test_golden.py > tests/golden_hashes.json
 
-The table records the revision it was taken at, so a regenerated table
-without the bump, or a bump without regenerated digests, fails.
+The table records the revision it was taken at, so a revision bumped
+without regenerating the table fails.
 
 The recorded paths, every report built from them, and the fluctuation
 values pass through numpy's vectorised exp (and arctan), whose last bit depends on the SIMD path numpy dispatches to.
