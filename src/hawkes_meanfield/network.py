@@ -88,10 +88,10 @@ class NetworkConfiguration:
         adjacency[j, i] == 1 iff j -> i is present.
     signs : ndarray of int8, shape (n,)
         Vertex spins, each +1 or -1.
-    seed : int or None
-        Seed the matrices were drawn from, None for explicit matrices.
-    kind : str
-        "erdos_renyi", "complementary", or "explicit".
+
+    It holds the matrices only, not how they were made: sample_network and
+    build_complementary_network draw them from a seed the caller keeps, and
+    explicit matrices go to the constructor directly.
     """
 
     n: int
@@ -99,8 +99,6 @@ class NetworkConfiguration:
     q: float
     adjacency: np.ndarray
     signs: np.ndarray
-    seed: int | None = None
-    kind: str = "erdos_renyi"
 
     def __post_init__(self):
         if self.n < 1:
@@ -179,10 +177,8 @@ def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguratio
     adjacency = _empty_adjacency(n)
     _draw_bernoulli(g, adjacency, q)
     signs = np.where(g.random(n) < p, 1, -1).astype(np.int8)
-    return NetworkConfiguration(
-        n=n, p=float(p), q=float(q), adjacency=adjacency, signs=signs,
-        seed=int(seed), kind="erdos_renyi",
-    )
+    return NetworkConfiguration(n=n, p=float(p), q=float(q),
+                                adjacency=adjacency, signs=signs)
 
 
 def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
@@ -219,10 +215,8 @@ def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
     adjacency[half1, 1] = 1
     if n > 2:
         _draw_bernoulli(g, adjacency[:, 2:], 0.5)
-    return NetworkConfiguration(
-        n=n, p=0.5, q=0.5, adjacency=adjacency, signs=signs,
-        seed=int(seed), kind="complementary",
-    )
+    return NetworkConfiguration(n=n, p=0.5, q=0.5, adjacency=adjacency,
+                                signs=signs)
 
 
 def compute_weight_statistics(net: NetworkConfiguration) -> WeightStatistics:

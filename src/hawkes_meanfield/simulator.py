@@ -243,8 +243,9 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     width from grid index 0, so every recorded value depends on the grid
     and the events alone, not on how the events split the crossings.  A
     block holds at most _COLUMN_ITEMS values, or _MIN_ROWS grid points
-    where N is larger, so no call allocates an N x grid array.  The closures keep their state in local cells, not
-    attributes: at and fire run once per candidate and per event.
+    where N is larger, so no call allocates an N x grid array.  The closures
+    keep their state in local cells, not attributes: at and fire run once
+    per candidate and per event.
 
     fire adds vertex i's weights as coef[i] * float(adj[i]), built in one
     preallocated row: the same products as row i of net.signed_rows, added
@@ -339,13 +340,15 @@ def _lazy_decay(grid, adj, coef, kernel, transfer, cfg, rows=None):
     return at, fire, close
 
 
-def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
+def _windowed_history(grid, adj, coef, kernel, cfg):
     """(at, fire, close) over a growing event buffer (any kernel).
 
     S_i(t-) is re-evaluated from the events strictly before t that lie
-    within the kernel's truncation lag.  fire records the pending grid points
-    as final values before it appends the event; close returns the tracked
-    and mean input only (_setup rejects asking for more).
+    within the kernel's truncation lag: at and record both sum the window
+    that window(t, start) returns, each from its own window start.  fire
+    records the pending grid points as final values before it appends the
+    event; close returns the tracked and mean input only (_setup rejects
+    asking for more).
 
     Each buffered event keeps its source's coefficient in cbuf, and target
     i's weights are gathered from row i of a contiguous transposed copy of
@@ -372,6 +375,17 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
     next_idx = 0
     next_t = float(grid[0])
 
+    def window(t, start):
+        """(phi(t - s), buffer slice) of the buffered events s < t from
+        index start on; an empty window sums to 0.0 like any other."""
+        stop = start + int(np.searchsorted(times[start:count], t,
+                                           side="left"))
+        return padded(t - times[start:stop]), slice(start, stop)
+
+    def target_sum(vals, sl, i):
+        """Vertex i's input from the window (vals, sl)."""
+        return float(np.dot(vals, cbuf[sl] * adj_t[i].take(verts[sl])))
+
     def record(t):
         """Write S at every pending grid point g <= t (left limits).
 
@@ -381,20 +395,12 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
         """
         nonlocal next_idx, next_t
         j = int(np.searchsorted(grid, t, side="right"))
-        ts_all = times[:count]
         for idx in range(next_idx, j):
             g = float(grid[idx])
-            start = int(np.searchsorted(ts_all, g - cut, side="left"))
-            ts = ts_all[start:]
-            m = int(np.searchsorted(ts, g, side="left"))
-            if m == 0:
-                continue
-            vals = padded(g - ts[:m])
-            vsl = verts[start:start + m]
-            csl = cbuf[start:start + m]
-            tracked_paths[:, idx] = [
-                float(np.dot(vals, csl * adj_t[v].take(vsl))) for v in tracked]
-            mean_input[idx] = float(np.dot(vals, row_mean[vsl]))
+            start = int(np.searchsorted(times[:count], g - cut, side="left"))
+            vals, sl = window(g, start)
+            tracked_paths[:, idx] = [target_sum(vals, sl, v) for v in tracked]
+            mean_input[idx] = float(np.dot(vals, row_mean[verts[sl]]))
         next_idx = j
         next_t = float(grid[j]) if j < m1 else math.inf
 
@@ -402,13 +408,7 @@ def _windowed_history(grid, adj, coef, kernel, transfer, cfg):
         nonlocal lo
         while lo < count and t - times[lo] > cut:
             lo += 1
-        ts = times[lo:count]
-        m = int(np.searchsorted(ts, t, side="left"))
-        if m == 0:
-            return 0.0
-        vals = padded(t - ts[:m])
-        weights = cbuf[lo:lo + m] * adj_t[i].take(verts[lo:lo + m])
-        return float(np.dot(vals, weights))
+        return target_sum(*window(t, lo), i)
 
     def fire(t, i):
         nonlocal times, verts, cbuf, count
@@ -461,7 +461,7 @@ def _setup(net, kernel, transfer, cfg):
     coef = cfg.theta(net.n) * net.signs.astype(np.float64)
     if not kernel.is_exponential:
         return (horizon, grid) + _windowed_history(
-            grid, net.adjacency, coef, kernel, transfer, cfg)
+            grid, net.adjacency, coef, kernel, cfg)
     rows = None if vertices is None else _projection_rows(net, vertices)
     return (horizon, grid) + _lazy_decay(grid, net.adjacency, coef, kernel,
                                          transfer, cfg, rows)
@@ -506,19 +506,11 @@ def simulate_thinning(net: NetworkConfiguration, kernel: Kernel,
         pick = stream(cfg.seed, VERTEX_PICK)
         acc = stream(cfg.seed, ACCEPT)
         scale = 1.0 / big_lambda
-        # the first block holds the expected candidate count N ||h|| T and
-        # six standard deviations more, so a short run converts no
-        # _BLOCK-sized lists; each stream draws the same values in any split
-        # (mu is capped at _BLOCK, where the size is _BLOCK anyway, so an
-        # overflowing product still gives a size)
-        mu = min(big_lambda * horizon, _BLOCK)
-        size = min(_BLOCK, math.ceil(mu + 6.0 * math.sqrt(mu)) + 1)
         done = False
         while not done:
-            gaps = cand.exponential(scale, size).tolist()
-            picks = pick.integers(0, n, size).tolist()
-            accepts = acc.random(size).tolist()
-            size = _BLOCK
+            gaps = cand.exponential(scale, _BLOCK).tolist()
+            picks = pick.integers(0, n, _BLOCK).tolist()
+            accepts = acc.random(_BLOCK).tolist()
             for gap, i, u in zip(gaps, picks, accepts):
                 t += gap
                 if t >= horizon:
@@ -735,13 +727,13 @@ def extract_martingale_paths(result: SimulationResult,
     """Split the recorded dynamics into drift and martingale parts.
 
     Reads the projected rates of a run recorded with
-    martingale_vertices=vertices, and projects the counts from its spike
-    trains.  The oracle path, for a record_full run recorded without that
-    projection, projects h(full_input) and the per-vertex counting paths
-    onto the same rows instead.  Raises RecordingMissingError when the run
-    recorded neither.  Compensators use trapezoid quadrature on the
-    recording grid; counting paths are left limits, matching the strict
-    left-limit convention of the simulator.
+    martingale_vertices=vertices; the oracle path, for a record_full run
+    recorded without that projection, projects h(full_input) onto the same
+    rows instead.  Either way the counts are projected from the spike
+    trains.  Raises RecordingMissingError when the run recorded neither.
+    Compensators use trapezoid quadrature on the recording grid; counting
+    paths are left limits, matching the strict left-limit convention of the
+    simulator.
     """
     net = result.net
     vertices = tuple(int(v) for v in vertices)
@@ -752,15 +744,14 @@ def extract_martingale_paths(result: SimulationResult,
     rows = _projection_rows(net, vertices)
     if result.martingale_vertices == vertices:
         rates = result.martingale_rates
-        counts = _count_rows(result.trains, grid, rows)
     elif result.full_input is not None:
         rates = rows @ result.transfer(result.full_input)
-        counts = rows @ result.trains.counts_on_grid(grid)
     else:
         raise RecordingMissingError(
             f"extract_martingale_paths needs a result recorded with "
             f"martingale_vertices={vertices} or record_full=True"
         )
+    counts = _count_rows(result.trains, grid, rows)
     return _paths_from_rows(grid, net, vertices, counts, rates)
 
 

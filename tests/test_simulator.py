@@ -48,7 +48,7 @@ def test_same_seed_same_events():
 def test_thinning_events_do_not_depend_on_the_candidate_block(monkeypatch,
                                                              block):
     # each candidate block continues its three streams, so any split of the
-    # draws, the short first block included, fires the same events
+    # draws fires the same events
     _, _, want = _small_run()
     monkeypatch.setattr(simulator, "_BLOCK", block)
     _, _, got = _small_run()
