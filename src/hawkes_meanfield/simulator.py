@@ -573,9 +573,12 @@ def simulate_time_change(net: NetworkConfiguration, kernel: Kernel,
                 raise ContractError(f"transfer left its declared range: h={rate!r}")
             u = float(gens[i].random())
             if u * sup_h < rate:
+                # a float collision, or a tie that an earlier nudge moved
+                # past: fire one ulp after the last event, so events stay
+                # in time order
                 te = t
-                if te == last_event:
-                    te = math.nextafter(te, math.inf)
+                if te <= last_event:
+                    te = math.nextafter(last_event, math.inf)
                     ties_nudged += 1
                 if te < horizon:
                     fire(te, i)

@@ -57,6 +57,74 @@ def test_thinning_events_do_not_depend_on_the_candidate_block(monkeypatch,
         np.testing.assert_array_equal(x, y)
 
 
+class _Scripted:
+    """A stream that returns the given draws, then gaps that end the run,
+    vertex 0 and accepting uniforms (scale is ignored)."""
+
+    def __init__(self, draws=()):
+        self.draws = list(draws)
+
+    def _take(self, size, fill):
+        out = [self.draws.pop(0) if self.draws else fill
+               for _ in range(1 if size is None else size)]
+        return out[0] if size is None else np.array(out)
+
+    def exponential(self, scale, size=None):
+        return self._take(size, 1e9)
+
+    def integers(self, low, high, size=None):
+        return self._take(size, 0)
+
+    def random(self, size=None):
+        return self._take(size, 0.0)
+
+
+def _scripted_run(monkeypatch, backend, streams, transfer=None,
+                  horizon=2.0):
+    """backend on 3 vertices, stream (seed, *key) drawing streams[key]."""
+    monkeypatch.setattr(simulator, "stream",
+                        lambda seed, *key: _Scripted(streams.get(key, ())))
+    net = sample_network(3, 0.8, 0.5, seed=1)
+    cfg = SimulationConfig(horizon=horizon, seed=1, tracked_vertices=())
+    return backend(net, EXP, transfer or constant_transfer(1.0), cfg)
+
+
+_AFTER = math.nextafter(0.5, math.inf)
+# three candidates at 0.5, all accepted: one per vertex
+_THINNING_TIE = {(simulator.CANDIDATES,): [0.5, 0.0, 0.0],
+                 (simulator.VERTEX_PICK,): [0, 1, 2]}
+_TIME_CHANGE_TIE = {(simulator.TIMECHANGE, i): [0.5] for i in range(3)}
+
+
+@pytest.mark.parametrize("backend, streams", [
+    (simulate_thinning, _THINNING_TIE),
+    (simulate_time_change, _TIME_CHANGE_TIE)], ids=["thinning", "time_change"])
+def test_tied_events_fire_in_time_order(monkeypatch, backend, streams):
+    # the second event ties with the first and the third with the nudged
+    # second, so each fires one ulp after the event before it
+    res = _scripted_run(monkeypatch, backend, streams)
+    want = [0.5, _AFTER, math.nextafter(_AFTER, math.inf)]
+    assert [list(ts) for ts in res.trains.times] == [[t] for t in want]
+    assert res.diagnostics == {"candidates": 3, "events": 3, "ties_nudged": 2}
+
+
+def test_a_thinning_nudge_onto_the_horizon_ends_the_run(monkeypatch):
+    res = _scripted_run(monkeypatch, simulate_thinning, _THINNING_TIE,
+                        horizon=_AFTER)
+    assert [list(ts) for ts in res.trains.times] == [[0.5], [], []]
+    assert res.diagnostics == {"candidates": 2, "events": 1, "ties_nudged": 1}
+
+
+@pytest.mark.parametrize("backend, streams", [
+    (simulate_thinning, _THINNING_TIE),
+    (simulate_time_change, _TIME_CHANGE_TIE)], ids=["thinning", "time_change"])
+def test_a_transfer_above_its_sup_norm_is_refused(monkeypatch, backend,
+                                                  streams):
+    liar = dataclasses.replace(constant_transfer(1.0), sup_norm=0.5)
+    with pytest.raises(ContractError, match="left its declared range"):
+        _scripted_run(monkeypatch, backend, streams, transfer=liar)
+
+
 def test_different_seeds_differ():
     _, _, a = _small_run(seed=41)
     _, _, b = _small_run(seed=42)
@@ -200,6 +268,20 @@ def test_general_kernel_history_mode_matches_oracle(backend):
     cfg = SimulationConfig(horizon=3.0, seed=21, tracked_vertices=(0, 4))
     res = backend(net, tab, ARCTAN, cfg)
     assert res.trains.total_events > 0
+    oracle = recompute_input_from_trains(net, tab, cfg.theta(net.n),
+                                         res.trains, res.grid, (0, 4))
+    assert float(np.max(np.abs(res.tracked_input - oracle))) < 1e-9
+
+
+def test_history_mode_grows_its_event_buffer():
+    # more events than the 4096 the buffer starts with; a constant rate
+    # fixes their number, and dt = 0.5 keeps the oracle small
+    tab = tabulated_kernel([0.0, 1.0, 2.0], [1.0, 0.4, 0.0])
+    net = sample_network(10, 0.8, 0.5, seed=21)
+    cfg = SimulationConfig(horizon=10.0, seed=21, dt=0.5,
+                           tracked_vertices=(0, 4))
+    res = simulate_thinning(net, tab, constant_transfer(50.0), cfg)
+    assert res.trains.total_events > 4096
     oracle = recompute_input_from_trains(net, tab, cfg.theta(net.n),
                                          res.trains, res.grid, (0, 4))
     assert float(np.max(np.abs(res.tracked_input - oracle))) < 1e-9
