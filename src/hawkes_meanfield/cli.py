@@ -76,9 +76,10 @@ def _plotdata_text(rows):
 
 
 def _resolve_jobs(args):
-    jobs = getattr(args, "jobs", None)
+    jobs, source = getattr(args, "jobs", None), "--jobs"
     if jobs is None:
-        env = os.environ.get("HAWKES_MF_JOBS", "").strip()
+        source = "HAWKES_MF_JOBS"
+        env = os.environ.get(source, "").strip()
         if env:
             try:
                 jobs = int(env)
@@ -87,7 +88,7 @@ def _resolve_jobs(args):
                     f"HAWKES_MF_JOBS: expected an integer, got {env!r}")
     jobs = 1 if jobs is None else jobs
     if jobs < 1:
-        raise ConfigError("--jobs must be >= 1")
+        raise ConfigError(f"{source} must be >= 1")
     return jobs
 
 

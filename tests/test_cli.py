@@ -368,6 +368,19 @@ def test_parallel_simulate_matches_sequential(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "bad")]) == 2
 
 
+def test_a_job_count_below_one_names_its_source(tmp_path, monkeypatch,
+                                                capsys):
+    cfg = _write(tmp_path, _doc())
+    for flags, env, source in ((["--jobs", "0"], "2", "--jobs"),
+                               ([], "0", "HAWKES_MF_JOBS")):
+        monkeypatch.setenv("HAWKES_MF_JOBS", env)
+        assert main(["simulate", "--config", cfg,
+                     "--out", str(tmp_path / "x"), *flags]) == 2
+        assert capsys.readouterr().err == \
+            f"config error: {source} must be >= 1\n"
+        assert not (tmp_path / "x").exists()
+
+
 def test_simulate_starts_no_more_workers_than_replicates(tmp_path,
                                                         monkeypatch):
     # a forked pool starts all max_workers at its first submit; this fake
