@@ -175,11 +175,40 @@ def _refused(experiment=None, model=None, run=None, options=None):
                                               "values": [1.0, 0.0]}}}),
      "model.kernel.tabulated: need matching 1-d nodes/values with >= 2 "
      "points"),
+    # the readers' own refusals, before any constructor or contract
+    ({"model": _doc()["model"]}, "run: required"),
+    (_refused() | {"run": {"horizon": 2.0}}, "run.seed: required"),
+    (_refused(run={"horizon": 0.0}), "run.horizon: must be > 0"),
+    (_refused(run={"tracked_vertices": 0}),
+     "run.tracked_vertices: expected an array of vertex indices"),
+    (_refused(run={"tracked_vertices": [1, 1]}),
+     "run.tracked_vertices: indices must be distinct"),
+    (_refused() | {"output": {}}, "output.directory: required"),
+    (_refused() | {"output": {"directory": 7}},
+     "output.directory: expected a string"),
+    (_refused("lln", model={"n": [60, 15]}, run={"replicates": 3}),
+     "model.n: sizes must be strictly increasing"),
+    (_refused() | {"run": [2.0]}, "run: expected an object, got list"),
+    (_refused(model={"q": "half"}), "model.q: expected a number, got str"),
+    (_refused(run={"horizon": float("inf")}), "run.horizon: must be finite"),
+    (_refused(model={"p": -0.5}), "model.p: must be >= 0.0"),
+    (_refused(model={"kernel": {"tabulated": {"nodes": [],
+                                              "values": [1.0]}}}),
+     "model.kernel.tabulated.nodes: expected a non-empty array of numbers"),
+    (_refused(model={"kernel": {"exponential": {"rate": 1.0},
+                                "tabulated": {}}}),
+     "model.kernel: expected exactly one of: exponential, tabulated"),
+    (_refused(model={"kernel": {"exponential": {}}}),
+     "model.kernel.exponential.rate: required"),
 ], ids=["critical-p", "critical-scaling", "lln-scaling", "plain-critical-p",
         "clt-sizes", "lln-net-seed", "lln-options", "plain-options",
         "clt-unknown-option", "complementary-not-bool", "limit-samples-floor",
         "m-vertices-not-int", "kernel-rate-zero", "constant-negative",
-        "table-lengths-differ"])
+        "table-lengths-differ", "run-missing", "run-key-missing",
+        "horizon-zero", "tracked-not-list", "tracked-repeated",
+        "directory-missing", "directory-not-string", "sizes-decreasing",
+        "section-not-object", "not-a-number", "not-finite", "below-floor",
+        "empty-number-list", "two-kernel-kinds", "kernel-parameter-missing"])
 def test_config_refusals_keep_their_text(doc, message):
     with pytest.raises(ConfigError) as err:
         validate_config(doc)
