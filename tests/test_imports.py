@@ -1,4 +1,4 @@
-"""Every package module uses each name it imports.
+"""Every package module, test and demo uses each name it imports.
 
 No linter ships with the test environment, so this is the unused-import
 rule (pyflakes F401) written with `ast`.  A name counts as used when the
@@ -6,9 +6,12 @@ module reads it or lists it in `__all__`; an import line marked
 `# noqa: F401` is exempt, for a name other code looks up on the module.
 `__init__.py` re-exports by importing, so it is not checked for unused
 imports; instead its re-exports must match each module's `__all__`.
+No test runs the demos, so every name a demo imports from the package is
+checked to exist.
 """
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -17,9 +20,15 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "hawkes_meanfield"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "hawkes_meanfield"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py")
                  if p.name != "__init__.py")
+DEMOS = sorted(f"demos/{p.name}" for p in (ROOT / "demos").glob("*.py"))
+# every file the unused-import rule reads, by its test id
+CHECKED = {**{name: PACKAGE / name for name in MODULES},
+           **{f"tests/{p.name}": p for p in sorted(ROOT.glob("tests/*.py"))},
+           **{name: ROOT / name for name in DEMOS}}
 
 
 def _imported(tree, lines):
@@ -71,10 +80,21 @@ def test_the_check_sees_unused_and_exempt_imports():
     assert _unused_imports(source) == [(1, "os"), (6, "exp")]
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", CHECKED)
 def test_module_uses_every_import(module):
-    source = (PACKAGE / module).read_text(encoding="utf-8")
+    source = CHECKED[module].read_text(encoding="utf-8")
     assert _unused_imports(source) == []
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demos_import_names_the_package_has(demo):
+    tree = ast.parse((ROOT / demo).read_text(encoding="utf-8"))
+    missing = [(node.module, a.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.module or "").split(".")[0] == "hawkes_meanfield"
+               for a in node.names
+               if not hasattr(importlib.import_module(node.module), a.name)]
+    assert missing == []
 
 
 def _reexports(tree):
