@@ -274,8 +274,8 @@ def test_general_kernel_history_mode_matches_oracle(backend):
 
 
 def test_history_mode_grows_its_event_buffer():
-    # more events than the 4096 the buffer starts with; a constant rate
-    # fixes their number, and dt = 0.5 keeps the oracle small
+    # more events than the 4096 the buffer starts with (about 5000 at the
+    # constant rate 50, whatever the input); dt = 0.5 keeps the oracle small
     tab = tabulated_kernel([0.0, 1.0, 2.0], [1.0, 0.4, 0.0])
     net = sample_network(10, 0.8, 0.5, seed=21)
     cfg = SimulationConfig(horizon=10.0, seed=21, dt=0.5,
