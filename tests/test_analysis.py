@@ -15,12 +15,12 @@ from hawkes_meanfield.analysis import (DEFAULT_TOLERANCES, ExperimentReport,
                                        _chisquare, _jackknife_scalar,
                                        _poisson_gof, _poisson_pmf,
                                        _reverdict, _sign_test_pvalue,
-                                       clt_experiment,
+                                       clt_experiment, clt_verdicts,
                                        critical_experiment,
                                        independence_experiment,
                                        lln_experiment, make_check,
                                        report_from_dict, run_experiment)
-from hawkes_meanfield.errors import (ContractError,
+from hawkes_meanfield.errors import (ConfigError, ContractError,
                                      DerivativeUnavailableError,
                                      ParameterError,
                                      UnsupportedTransferError,
@@ -415,6 +415,30 @@ def test_report_helpers():
     json.dumps(rep.to_dict())
     assert isinstance(checks[0]["observed"], float)
     assert isinstance(checks[0]["tolerance"], int)
+
+
+@pytest.mark.parametrize("section", ["params", "tolerances", "tables"])
+def test_report_sections_must_be_objects(section):
+    data = {"experiment": "lln", "params": {}, "tolerances": {}, "tables": {},
+            section: []}
+    with pytest.raises(ConfigError) as err:
+        report_from_dict(data)
+    assert str(err.value) == f"report.{section}: expected an object"
+
+
+@pytest.mark.parametrize("q", [0.0, 1.0])
+def test_clt_structure_check_is_degenerate_at_q_zero_and_one(q):
+    # every edge absent or every edge present: no vertex pair differs, so
+    # the diagonal gap is not judged, whatever its value
+    side = {"mean": [0.0] * 3, "se_mean": [1.0] * 3,
+            "cov": [[1.0] * 3] * 3, "cov_se": [[1.0] * 3] * 3}
+    tables = {"finite": side, "limit": side,
+              "diag_gap": {"value": -5.0, "se": 0.1}, "q": q}
+    checks = clt_verdicts(tables, DEFAULT_TOLERANCES)
+    assert checks[-1] == make_check(
+        "cov-diagonal-exceeds-offdiagonal", True, -5.0,
+        "degenerate (q in {0, 1})", None,
+        detail="structure check only applies for 0 < q < 1")
 
 
 def test_poisson_gof_behaviour():

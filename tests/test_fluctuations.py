@@ -201,6 +201,9 @@ def test_grid_contract_violations():
     with pytest.raises(ParameterError):
         sample_terminal_fluctuations(_coarse_path(), EXP, ARCTAN, 0.8, 0.5, 1,
                                      n_samples=0, seed=1)
+    with pytest.raises(ParameterError, match="^n_vertices must be >= 0$"):
+        simulate_fluctuations(_coarse_path(), EXP, ARCTAN, 0.8, 0.5, -1,
+                              seed=1)
 
 
 def test_terminal_covariance_structure():

@@ -131,6 +131,20 @@ def test_tabulated_transfer_clamps_and_derivative_contract():
     assert hd.derivative(0.0) == 0.5
 
 
+@pytest.mark.parametrize("args, error, message", [
+    (([0.0, 1.0, 2.0], [1.0, 0.5]), ContractError,
+     "need matching 1-d nodes/values with >= 2 points"),
+    (([0.0, 1.0], [1.0, -0.5]), ParameterError,
+     "transfer values must be finite and non-negative"),
+    (([0.0, 1.0], [1.0, 0.5], [0.0]), ContractError,
+     "derivative table must match the nodes"),
+], ids=["lengths-differ", "negative-value", "derivative-table-shape"])
+def test_tabulated_transfer_refusals_keep_their_text(args, error, message):
+    with pytest.raises(error) as err:
+        tabulated_transfer(*args)
+    assert str(err.value) == message
+
+
 def test_convolution_single_event_closed_form():
     k = exponential_kernel(1.0)
     events = np.array([1.0])

@@ -89,6 +89,16 @@ def test_explicit_matrices_validated():
         NetworkConfiguration(n=2, p=0.5, q=0.5,
                              adjacency=np.full((2, 2), 2, dtype=np.uint8),
                              signs=np.ones(2, dtype=np.int8))
+    with pytest.raises(ContractError) as err:
+        NetworkConfiguration(n=3, p=0.5, q=0.5,
+                             adjacency=np.zeros((3, 3), dtype=np.uint8),
+                             signs=np.ones(2, dtype=np.int8))
+    assert str(err.value) == "signs must have shape (3,), got (2,)"
+    with pytest.raises(ParameterError) as err:
+        NetworkConfiguration(n=0, p=0.5, q=0.5,
+                             adjacency=np.zeros((0, 0), dtype=np.uint8),
+                             signs=np.ones(0, dtype=np.int8))
+    assert str(err.value) == "need at least one vertex, got n=0"
 
 
 def test_draw_sizes_cover_single_partial_and_multiple_blocks():
