@@ -32,6 +32,8 @@ from .errors import (
     SchemeMismatchError,
     UnsupportedTransferError,
     WrongRegimeError,
+    is_integer,
+    is_real,
 )
 from .fluctuations import (
     jackknife_covariance,
@@ -84,12 +86,23 @@ DEFAULT_TOLERANCES = {
 
 
 def _tol(overrides):
+    """DEFAULT_TOLERANCES updated by overrides, as floats: the one owner of
+    the tolerance rule, which validate_config applies too.  Keys must be
+    known, values finite numbers >= 0, and ratio_band [low, high] with
+    low < high; a refusal is a ParameterError keyed to the refused key."""
     tol = dict(DEFAULT_TOLERANCES)
-    if overrides:
-        unknown = set(overrides) - set(tol)
-        if unknown:
-            raise ParameterError(f"unknown tolerance keys {sorted(unknown)}")
-        tol.update({k: overrides[k] for k in overrides})
+    for key, value in (overrides or {}).items():
+        _need(key in tol, ParameterError, key, f"unknown tolerance {key!r} "
+              f"(allowed: {', '.join(sorted(tol))})")
+        band = key == "ratio_band"
+        values = list(value) if band and isinstance(value, list) else [value]
+        rule = ("[low, high] with 0 <= low < high < inf" if band
+                else "a finite number >= 0")
+        _need(len(values) == 1 + band
+              and all(is_real(v) and 0.0 <= v < math.inf for v in values)
+              and (not band or values[0] < values[1]), ParameterError, key,
+              f"tolerance {key!r} must be {rule}, got {value!r}")
+        tol[key] = [float(v) for v in values] if band else float(value)
     return tol
 
 
@@ -207,10 +220,9 @@ def _require_replicates(replicates, least):
 
 
 def _require_integer(keyword, value):
-    """A size is a Python or numpy integer: no float, even an integral one,
-    and no bool."""
-    _need(isinstance(value, (int, np.integer)) and not isinstance(value, bool),
-          ParameterError, keyword, f"{keyword}: {value!r} is not an integer")
+    """A count is an integer: no float, even an integral one, and no bool."""
+    _need(is_integer(value), ParameterError, keyword,
+          f"{keyword}: {value!r} is not an integer")
 
 
 def _require_sizes(sizes, least):

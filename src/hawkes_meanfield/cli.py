@@ -98,9 +98,7 @@ def _load_cfg(args, experiment_flag=None):
         print(f"note: {args.config} was written at output revision "
               f"{revision!r}, this is revision {OUTPUT_REVISION}: its "
               f"outputs may differ in their last bits", file=sys.stderr)
-    if experiment_flag:
-        if not isinstance(raw, dict):
-            raise ConfigError("config: expected a JSON object")
+    if experiment_flag and isinstance(raw, dict):  # validation refuses others
         raw = dict(raw, experiment=experiment_flag)
     # command line overrides go in before validation, so the experiment's
     # contract judges the values that will run

@@ -5,6 +5,18 @@ individual classes exist because callers (and the test battery) distinguish
 bad arguments from bad call sequences from unsupported capabilities.
 """
 
+import numbers
+
+
+def is_integer(value):
+    """A Python or numpy integer, and no bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value):
+    """A Python or numpy real number (inf and nan too), and no bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
 
 class ToolkitError(Exception):
     """Base class for all errors raised by this package."""

@@ -43,8 +43,9 @@ import numpy as np
 
 from .errors import ContractError, DerivativeUnavailableError, ParameterError
 from .kernels import Kernel, TransferFunction
+from .network import _check_pq
 from .rng import FLUCT, stream
-from .volterra import IntensityPath, _check_pq
+from .volterra import IntensityPath
 
 __all__ = [
     "FluctuationSample",

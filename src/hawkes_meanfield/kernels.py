@@ -77,8 +77,7 @@ class Kernel:
         lags = np.asarray(lags, dtype=np.float64)
         if self.is_exponential:
             return np.exp(-self.rate * lags)
-        out = np.interp(lags, self.nodes, self.values, right=0.0)
-        return out
+        return np.interp(lags, self.nodes, self.values, right=0.0)
 
     def grid_values(self, dt: float, m: int) -> np.ndarray:
         """phi evaluated at 0, dt, ..., m*dt (zero past the support)."""
@@ -91,6 +90,25 @@ class Kernel:
                 return math.inf
             return -math.log(1e-12) / self.rate
         return float(self.nodes[-1])
+
+
+def _table(what, nodes, values, from_zero=False):
+    """Read-only float (nodes, values) of a tabulated `what`: >= 2 points,
+    finite nodes rising strictly (from 0 if from_zero), finite values >= 0."""
+    nodes = np.asarray(nodes, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
+        raise ContractError("need matching 1-d nodes/values with >= 2 points")
+    if not np.all(np.isfinite(nodes)):
+        raise ContractError("nodes must be finite")
+    if np.any(np.diff(nodes) <= 0.0) or (from_zero and nodes[0] != 0.0):
+        origin = "start at 0 and " if from_zero else ""
+        raise ContractError(f"nodes must {origin}increase strictly")
+    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} values must be finite and non-negative")
+    nodes.flags.writeable = False
+    values.flags.writeable = False
+    return nodes, values
 
 
 def exponential_kernel(rate: float) -> Kernel:
@@ -107,17 +125,8 @@ def tabulated_kernel(nodes, values) -> Kernel:
     The kernel is treated as compactly supported: evaluation past the last
     node raises a domain error, while convolutions silently use zero there.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
-        raise ContractError("need matching 1-d nodes/values with >= 2 points")
-    if nodes[0] != 0.0 or np.any(np.diff(nodes) <= 0.0):
-        raise ContractError("nodes must start at 0 and increase strictly")
-    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-        raise ParameterError("kernel values must be finite and non-negative")
+    nodes, values = _table("kernel", nodes, values, from_zero=True)
     slopes = np.diff(values) / np.diff(nodes)
-    nodes.flags.writeable = False
-    values.flags.writeable = False
     # trapezoid of the table is its exact integral
     l1 = float(np.trapezoid(values, nodes))
     return Kernel(kind="tabulated", nodes=nodes, values=values,
@@ -211,14 +220,7 @@ def tabulated_transfer(nodes, values, deriv_values=None) -> TransferFunction:
     Pass deriv_values to make the derivative available to the fluctuation
     integrator; without it, derivative() raises.
     """
-    nodes = np.asarray(nodes, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
-        raise ContractError("need matching 1-d nodes/values with >= 2 points")
-    if np.any(np.diff(nodes) <= 0.0):
-        raise ContractError("nodes must increase strictly")
-    if np.any(values < 0.0) or not np.all(np.isfinite(values)):
-        raise ParameterError("transfer values must be finite and non-negative")
+    nodes, values = _table("transfer", nodes, values)
     dv = None
     if deriv_values is not None:
         dv = np.asarray(deriv_values, dtype=np.float64)
@@ -226,8 +228,6 @@ def tabulated_transfer(nodes, values, deriv_values=None) -> TransferFunction:
             raise ContractError("derivative table must match the nodes")
         dv.flags.writeable = False
     slopes = np.abs(np.diff(values) / np.diff(nodes))
-    nodes.flags.writeable = False
-    values.flags.writeable = False
     return TransferFunction(kind="tabulated", sup_norm=float(values.max()),
                             lipschitz=float(slopes.max()), nodes=nodes,
                             table=values, deriv_table=dv)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, is_real
 from .rng import NETWORK, stream
 
 __all__ = [
@@ -66,10 +66,10 @@ def _draw_bernoulli(g, out, prob):
                     out=block.view(np.bool_))
 
 
-def _check_probability(name, value):
-    if not (0.0 <= value <= 1.0):
-        raise ParameterError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
+def _check_pq(p, q):
+    """The one p/q rule: both are real numbers in [0, 1]."""
+    if not all(is_real(x) and 0.0 <= x <= 1.0 for x in (p, q)):
+        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
 
 
 @dataclass(frozen=True)
@@ -103,8 +103,7 @@ class NetworkConfiguration:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"need at least one vertex, got n={self.n}")
-        _check_probability("p", self.p)
-        _check_probability("q", self.q)
+        _check_pq(self.p, self.q)
         adj = np.asarray(self.adjacency, dtype=np.uint8)
         if adj.shape != (self.n, self.n):
             raise ContractError(
@@ -171,8 +170,7 @@ def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguratio
     """
     if n < 1:
         raise ParameterError(f"need at least one vertex, got n={n}")
-    _check_probability("p", p)
-    _check_probability("q", q)
+    _check_pq(p, q)
     g = stream(seed, NETWORK)
     adjacency = _empty_adjacency(n)
     _draw_bernoulli(g, adjacency, q)

@@ -55,11 +55,12 @@ from .errors import (
     RecordingMissingError,
     SchemeMismatchError,
     UnsupportedTransferError,
+    is_integer,
 )
 from .kernels import Kernel, TransferFunction, convolve_with_path
 from .network import NetworkConfiguration, row_blocks
 from .rng import ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, stream
-from .volterra import _resolve_grid
+from .volterra import _check_horizon, _resolve_grid
 
 __all__ = [
     "SimulationConfig",
@@ -80,6 +81,16 @@ _BLOCK = 8192
 # _MIN_ROWS grid points per block, so a large N still flushes in batches
 _COLUMN_ITEMS = 1 << 12
 _MIN_ROWS = 16
+
+
+def _vertices(what, vertices, n=math.inf):
+    """vertices as a tuple of ints, each an integer in 0..n-1 (any >= 0 if
+    n = inf); ParameterError naming `what` otherwise."""
+    vertices = tuple(vertices)
+    for v in vertices:
+        if not (is_integer(v) and 0 <= v < n):
+            raise ParameterError(f"{what} {v!r} outside 0..{n - 1}")
+    return tuple(int(v) for v in vertices)
 
 
 @dataclass(frozen=True)
@@ -123,18 +134,16 @@ class SimulationConfig:
     martingale_vertices: tuple | None = None
 
     def __post_init__(self):
-        if not 0.0 <= self.horizon < math.inf:
-            raise ParameterError(
-                f"horizon must be finite and >= 0, got {self.horizon!r}")
+        _check_horizon(self.horizon)
         if self.scaling not in ("mean_field", "critical"):
             raise ParameterError(
                 f"scaling must be 'mean_field' or 'critical', got {self.scaling!r}"
             )
-        object.__setattr__(self, "tracked_vertices",
-                           tuple(int(v) for v in self.tracked_vertices))
+        object.__setattr__(self, "tracked_vertices", _vertices(
+            "tracked vertex", self.tracked_vertices))
         if self.martingale_vertices is not None:
-            object.__setattr__(self, "martingale_vertices",
-                               tuple(int(v) for v in self.martingale_vertices))
+            object.__setattr__(self, "martingale_vertices", _vertices(
+                "martingale vertex", self.martingale_vertices))
 
     def theta(self, n: int) -> float:
         return 1.0 / n if self.scaling == "mean_field" else 1.0 / math.sqrt(n)
@@ -441,14 +450,9 @@ def _setup(net, kernel, transfer, cfg):
         raise ContractError("net must be a NetworkConfiguration")
     if not math.isfinite(transfer.sup_norm):
         raise UnsupportedTransferError("simulation needs a bounded transfer")
-    for v in cfg.tracked_vertices:
-        if not (0 <= v < net.n):
-            raise ParameterError(f"tracked vertex {v} outside 0..{net.n - 1}")
+    _vertices("tracked vertex", cfg.tracked_vertices, net.n)
     vertices = cfg.martingale_vertices
-    for v in vertices or ():
-        if not (0 <= v < net.n):
-            raise ParameterError(
-                f"martingale vertex {v} outside 0..{net.n - 1}")
+    _vertices("martingale vertex", vertices or (), net.n)
     if not kernel.is_exponential and (cfg.record_full or cfg.record_mean_rate
                                       or vertices is not None):
         raise SchemeMismatchError(
@@ -739,10 +743,7 @@ def extract_martingale_paths(result: SimulationResult,
     simulator.
     """
     net = result.net
-    vertices = tuple(int(v) for v in vertices)
-    for v in vertices:
-        if not (0 <= v < net.n):
-            raise ParameterError(f"vertex {v} outside 0..{net.n - 1}")
+    vertices = _vertices("vertex", vertices, net.n)
     grid = result.grid
     rows = _projection_rows(net, vertices)
     if result.martingale_vertices == vertices:

@@ -21,8 +21,10 @@ from .errors import (
     ParameterError,
     SchemeMismatchError,
     StepSizeError,
+    is_real,
 )
 from .kernels import Kernel, TransferFunction
+from .network import _check_pq
 
 __all__ = [
     "IntensityPath",
@@ -53,15 +55,16 @@ class IntensityPath:
         object.__setattr__(self, "values", v)
 
 
-def _check_pq(p, q):
-    if not (0.0 <= p <= 1.0 and 0.0 <= q <= 1.0):
-        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
+def _check_horizon(horizon):
+    """The one horizon rule: a finite real number >= 0, returned as a float."""
+    if not (is_real(horizon) and 0.0 <= horizon < math.inf):
+        raise ParameterError(
+            f"horizon must be finite and >= 0, got {horizon!r}")
+    return float(horizon)
 
 
 def _resolve_grid(horizon, dt):
-    if not 0.0 <= horizon < math.inf:
-        raise ParameterError(
-            f"horizon must be finite and >= 0, got {horizon!r}")
+    horizon = _check_horizon(horizon)
     if horizon == 0.0:
         return np.zeros(1), 0
     if dt is None:
@@ -89,7 +92,7 @@ def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,
     kernel.
     """
     _check_pq(p, q)
-    grid, m = _resolve_grid(float(horizon), dt)
+    grid, m = _resolve_grid(horizon, dt)
     c = (2.0 * p - 1.0) * q
     if scheme not in ("volterra_trapezoid", "ode_rk4"):
         raise SchemeMismatchError(f"unknown scheme {scheme!r}")
