@@ -40,8 +40,8 @@ from .fluctuations import (
     sample_terminal_fluctuations,  # noqa: F401  (bench/tracer.py spans analysis.sample_terminal_fluctuations)
     terminal_covariance,
 )
-from .network import build_complementary_network, sample_network
-from .rng import replicate_seed
+from .network import _check_pq, build_complementary_network, sample_network
+from .rng import _check_seed, replicate_seed
 from .simulator import (
     SimulationConfig,
     compensators,  # noqa: F401  (bench/tracer.py spans analysis.compensators)
@@ -95,7 +95,8 @@ def _tol(overrides):
         _need(key in tol, ParameterError, key, f"unknown tolerance {key!r} "
               f"(allowed: {', '.join(sorted(tol))})")
         band = key == "ratio_band"
-        values = list(value) if band and isinstance(value, list) else [value]
+        pair = band and isinstance(value, (list, tuple))
+        values = list(value) if pair else [value]
         rule = ("[low, high] with 0 <= low < high < inf" if band
                 else "a finite number >= 0")
         _need(len(values) == 1 + band
@@ -273,13 +274,17 @@ def _replicates(run, reduce, *, sizes, replicates, **common):
 def _experiment(name, build, call):
     """The report of experiment `name` on `call`, its function's arguments.
 
-    Contract, backend and tolerances come first: a refused run computes
-    nothing.  build(replicated, **call) returns the tables, running
+    Model, seeds, contract, backend and tolerances come first: a refused
+    run computes nothing.  build(replicated, **call) returns the tables, running
     replicated(reduce, sizes=..., **record): _replicates bound to this
     call's seed, replicates, model and grid.  In the mean-field regime
     call also carries the solved mean_path.
     """
     entry = _EXPERIMENTS[name]
+    _check_pq(call.get("p", 0.5), call["q"])
+    _check_seed(call["seed"])
+    if call.get("net_seed") is not None:
+        _check_seed(call["net_seed"], "net_seed")
     entry.contract(**call)
     run = _backend(call["backend"])
     tol = _pure(_tol(call.pop("tolerances")))

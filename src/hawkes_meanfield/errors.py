@@ -5,17 +5,18 @@ individual classes exist because callers (and the test battery) distinguish
 bad arguments from bad call sequences from unsupported capabilities.
 """
 
-import numbers
+import numpy as np
 
 
 def is_integer(value):
     """A Python or numpy integer, and no bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is not bool and isinstance(value, (int, np.integer))
 
 
 def is_real(value):
     """A Python or numpy real number (inf and nan too), and no bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return type(value) is not bool and isinstance(
+        value, (int, float, np.integer, np.floating))
 
 
 class ToolkitError(Exception):

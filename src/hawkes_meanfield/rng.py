@@ -36,6 +36,8 @@ change that regenerates the golden digests.
 
 import numpy as np
 
+from .errors import ParameterError, is_integer
+
 NETWORK = 0
 CANDIDATES = 1
 VERTEX_PICK = 2
@@ -45,6 +47,16 @@ FLUCT = 5
 REPLICATE = 90
 
 OUTPUT_REVISION = 1
+
+
+def _check_seed(seed, name="seed"):
+    """The one seed rule: an integer >= 0, a numpy one too, but no bool.
+
+    stream checks the seed of every generator (25,209 in one benchmark
+    call), so the check stays one isinstance and one compare.
+    """
+    if not (is_integer(seed) and seed >= 0):
+        raise ParameterError(f"{name} must be an integer >= 0, got {seed!r}")
 
 
 def stream(seed, *key):
@@ -57,6 +69,7 @@ def stream(seed, *key):
     *key : int
         Purpose constant followed by any sub-indices (vertex, sample, ...).
     """
+    _check_seed(seed)
     ss = np.random.SeedSequence(seed, spawn_key=tuple(int(k) for k in key))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -67,6 +80,7 @@ def replicate_seed(master_seed, index):
     The derived value is itself a full 64-bit seed, so replicates started
     from it have disjoint streams from each other and from the master.
     """
+    _check_seed(master_seed)
     ss = np.random.SeedSequence(int(master_seed), spawn_key=(REPLICATE, int(index)))
     lo, hi = ss.generate_state(2)
     return int(lo) | (int(hi) << 32)

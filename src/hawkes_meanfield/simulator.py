@@ -59,7 +59,7 @@ from .errors import (
 )
 from .kernels import Kernel, TransferFunction, convolve_with_path
 from .network import NetworkConfiguration, row_blocks
-from .rng import ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, stream
+from .rng import ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, _check_seed, stream
 from .volterra import _check_horizon, _resolve_grid
 
 __all__ = [
@@ -135,6 +135,7 @@ class SimulationConfig:
 
     def __post_init__(self):
         _check_horizon(self.horizon)
+        _check_seed(self.seed)
         if self.scaling not in ("mean_field", "critical"):
             raise ParameterError(
                 f"scaling must be 'mean_field' or 'critical', got {self.scaling!r}"

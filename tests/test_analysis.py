@@ -119,6 +119,61 @@ def test_parameter_guards(monkeypatch):
         assert info.value.keyword == "n"
 
 
+
+@pytest.mark.parametrize("kwargs, keyword", [
+    (dict(tolerances={"ratio_band": 3}), "ratio_band"),
+    (dict(tolerances={"ratio_band": [8.0, 2.0]}), "ratio_band"),
+    (dict(tolerances={"ratio_band": [1.0, math.inf]}), "ratio_band"),
+    (dict(tolerances={"slope_rel": "0.1"}), "slope_rel"),
+    (dict(tolerances={"gof_alpha": math.nan}), "gof_alpha"),
+    (dict(tolerances={"bound_slack": -1e-9}), "bound_slack"),
+    (dict(tolerances={"no_such_band": 1.0}), "no_such_band"),
+    (dict(p="x"), None),
+    (dict(q=None), None),
+], ids=["band-not-a-pair", "band-reversed", "band-infinite",
+        "tolerance-a-string", "tolerance-nan", "tolerance-negative",
+        "tolerance-unknown", "p-a-string", "q-none"])
+def test_lln_arguments_are_refused_before_any_compute(monkeypatch, kwargs,
+                                                      keyword):
+    for name in ("solve_mean_field", "sample_network"):
+        monkeypatch.setattr(analysis, name, _no_compute)
+    with pytest.raises(ParameterError) as info:
+        _tiny_lln(**kwargs)
+    assert getattr(info.value, "keyword", None) == keyword
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("lln", dict(seed=-1)),
+    ("lln", dict(seed=1.5)),
+    ("lln", dict(seed=True)),
+    ("critical", dict(complementary=True, net_seed=-1)),
+    ("critical", dict(complementary=True, net_seed=2.5)),
+], ids=["lln-negative", "lln-fractional", "lln-bool",
+        "complementary-net-seed-negative", "complementary-net-seed-float"])
+def test_seeds_are_refused_before_any_compute(monkeypatch, name, kwargs):
+    for module_name in ("solve_mean_field", "sample_network",
+                        "build_complementary_network"):
+        monkeypatch.setattr(analysis, module_name, _no_compute)
+    args = dict(kernel=EXP, transfer=ARCTAN, horizon=1.0, seed=1)
+    if name == "lln":
+        args.update(sizes=[15, 60], p=0.8, q=0.5, replicates=3)
+    else:
+        args.update(n=16, replicates=5)
+    args.update(kwargs)
+    with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+        run_experiment(name, **args)
+
+
+def test_tolerances_are_recorded_as_floats():
+    # a (low, high) tuple is a band too
+    assert analysis._tol({"ratio_band": (1, 9)})["ratio_band"] == [1.0, 9.0]
+    tol = analysis._tol({"drift_gap_se": 3, "ratio_band": [2, 8]})
+    assert tol == dict(DEFAULT_TOLERANCES, drift_gap_se=3.0,
+                       ratio_band=[2.0, 8.0])
+    assert isinstance(tol["drift_gap_se"], float)
+    assert all(isinstance(v, float) for v in tol["ratio_band"])
+
+
 def test_regime_guards():
     with pytest.raises(WrongRegimeError):
         _tiny_lln(p=0.5)

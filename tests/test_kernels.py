@@ -58,6 +58,16 @@ def test_tabulated_kernel_validation():
         tabulated_kernel([0.0], [1.0])
 
 
+
+@pytest.mark.parametrize("build", [tabulated_kernel, tabulated_transfer])
+@pytest.mark.parametrize("nodes", [[0.0, math.nan, 2.0],
+                                   [0.0, 1.0, math.inf]],
+                         ids=["nan", "inf"])
+def test_tables_refuse_non_finite_nodes(build, nodes):
+    with pytest.raises(ContractError, match="^nodes must be finite$"):
+        build(nodes, [1.0, 0.5, 0.0])
+
+
 def test_truncation_lag():
     k = exponential_kernel(2.0)
     lag = k.truncation_lag()

@@ -74,6 +74,18 @@ def test_invalid_parameters_rejected():
         sample_network(10, 1.5, 0.5, seed=1)
     with pytest.raises(ParameterError):
         sample_network(10, 0.5, -0.1, seed=1)
+    # one p/q rule; a value that is no real number is refused, not compared
+    for p, q in ((None, 0.5), ("x", 0.5), (0.5, [0.5]), (True, 0.5),
+                 (0.5, np.nan)):
+        with pytest.raises(ParameterError) as err:
+            sample_network(10, p, q, seed=1)
+        assert str(err.value) == \
+            f"p and q must lie in [0, 1], got p={p!r}, q={q!r}"
+    for seed in (-1, 0.5, None):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            sample_network(5, 0.5, 0.5, seed)
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            build_complementary_network(6, seed)
 
 
 def test_explicit_matrices_validated():

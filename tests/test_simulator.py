@@ -259,6 +259,21 @@ def test_config_validation():
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="horizon"):
             SimulationConfig(horizon=horizon, seed=1)
+    # a horizon or a vertex index of the wrong type is refused, not
+    # compared or truncated (0.7 once tracked vertex 0)
+    for horizon in ("1", None, [1.0], True):
+        with pytest.raises(ParameterError, match="horizon"):
+            SimulationConfig(horizon=horizon, seed=1)
+    for field in ("tracked_vertices", "martingale_vertices"):
+        for bad in ((0.7,), (-1,), (True,), ("0",), ([0],)):
+            with pytest.raises(ParameterError, match="vertex .* outside"):
+                SimulationConfig(horizon=1.0, seed=1, **{field: bad})
+    assert SimulationConfig(horizon=1.0, seed=1, tracked_vertices=(
+        np.int64(2), 0)).tracked_vertices == (2, 0)
+    # the seed rule of rng.stream, applied when the config is made
+    for seed in (-1, 1.5, False, "1"):
+        with pytest.raises(ParameterError, match="seed must be an integer"):
+            SimulationConfig(horizon=1.0, seed=seed)
 
 
 @pytest.mark.parametrize("backend", [simulate_thinning, simulate_time_change])
@@ -402,6 +417,9 @@ def test_extract_validates_vertices():
     net, cfg, res = _small_run(record_full=True)
     with pytest.raises(ParameterError):
         extract_martingale_paths(res, vertices=(0, 99))
+    for bad in ((0.5,), (-1,), (False,)):
+        with pytest.raises(ParameterError, match="^vertex .* outside 0..19$"):
+            extract_martingale_paths(res, vertices=bad)
     with pytest.raises(ParameterError, match="martingale vertex"):
         _small_run(martingale_vertices=(0, 20))
     # a projection for other vertices is no recording of these

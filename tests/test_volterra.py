@@ -136,6 +136,11 @@ def test_parameter_validation():
     for horizon in (-1.0, math.inf, math.nan):
         with pytest.raises(ParameterError, match="horizon"):
             solve_mean_field(EXP, ARCTAN, 0.8, 0.5, horizon)
+    for horizon in ("1", None, True):
+        with pytest.raises(ParameterError, match="horizon"):
+            solve_mean_field(EXP, ARCTAN, 0.8, 0.5, horizon)
+    with pytest.raises(ParameterError, match="p and q"):
+        solve_mean_field(EXP, ARCTAN, "0.8", 0.5, 1.0)
 
 
 def test_tabulated_kernel_reproduces_exponential_solution():
