@@ -216,6 +216,7 @@ def _need(ok, error, keyword, message):
 
 
 def _require_replicates(replicates, least):
+    _require_integer("replicates", replicates)
     _need(replicates >= least, ParameterError, "replicates",
           f"need at least {least} replicates")
 
@@ -425,9 +426,11 @@ def _lln_plot_rows(tables):
 def _clt_contract(*, n, p, transfer, replicates, limit_samples, n_tracked,
                   **_):
     _require_integer("n", n)
+    _require_integer("n_tracked", n_tracked)
     _need(2 <= n_tracked <= n, ParameterError, "n_tracked",
           f"n_tracked must be >= 2 (a covariance pair) and <= n = {n}")
     _require_replicates(replicates, 8)
+    _require_integer("limit_samples", limit_samples)
     _need(limit_samples >= 8, ParameterError, "limit_samples",
           "need at least 8 limit samples")
     _require_mean_field("clt", p)
@@ -692,6 +695,8 @@ _CRITICAL_SERIES = (
 def _critical_contract(*, n, q, kernel, replicates, complementary,
                        net_seed=None, **_):
     _require_integer("n", n)
+    _need(isinstance(complementary, bool), ParameterError, "complementary",
+          f"complementary must be True or False, got {complementary!r}")
     _need(n >= 2, ParameterError, "n",
           f"critical tracks vertices 0 and 1, so it needs n >= 2, got {n}")
     _need(not complementary or n % 2 == 0, ParameterError, "n",
@@ -902,6 +907,7 @@ def _critical_plot_rows(tables):
 def _independence_contract(*, sizes, p, replicates, m_vertices, **_):
     _require_sizes(sizes, 1)
     _require_mean_field("independence", p)
+    _require_integer("m_vertices", m_vertices)
     _need(2 <= m_vertices <= min(sizes), ParameterError, "m_vertices",
           "m_vertices must be >= 2 and <= every size")
     _require_replicates(replicates, 10)

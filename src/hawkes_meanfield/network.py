@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError, is_real
+from .errors import ContractError, ParameterError, is_integer, is_real
 from .rng import NETWORK, stream
 
 __all__ = [
@@ -66,6 +66,14 @@ def _draw_bernoulli(g, out, prob):
                     out=block.view(np.bool_))
 
 
+def _check_n(n):
+    """The one vertex-count rule of a network: an integer >= 1."""
+    if not is_integer(n):
+        raise ParameterError(f"n must be an integer, got {n!r}")
+    if n < 1:
+        raise ParameterError(f"need at least one vertex, got n={n}")
+
+
 def _check_pq(p, q):
     """The one p/q rule: both are real numbers in [0, 1]."""
     if not all(is_real(x) and 0.0 <= x <= 1.0 for x in (p, q)):
@@ -101,8 +109,7 @@ class NetworkConfiguration:
     signs: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"need at least one vertex, got n={self.n}")
+        _check_n(self.n)
         _check_pq(self.p, self.q)
         adj = np.asarray(self.adjacency, dtype=np.uint8)
         if adj.shape != (self.n, self.n):
@@ -168,8 +175,7 @@ def sample_network(n: int, p: float, q: float, seed: int) -> NetworkConfiguratio
     edges; spins are independent with P(+1) = p.  Identical seeds reproduce
     identical matrices regardless of what any simulation did before or after.
     """
-    if n < 1:
-        raise ParameterError(f"need at least one vertex, got n={n}")
+    _check_n(n)
     _check_pq(p, q)
     g = stream(seed, NETWORK)
     adjacency = _empty_adjacency(n)
@@ -192,7 +198,7 @@ def build_complementary_network(n: int, seed: int) -> NetworkConfiguration:
     The total spin sum is 0 when n/2 is even; when n/2 is odd the equal-sum
     constraint forces |sum_j U_j| = 2, which is recorded via ``sign_sum``.
     """
-    if n < 2 or n % 2 != 0:
+    if not is_integer(n) or n < 2 or n % 2 != 0:
         raise ParameterError(f"complementary construction needs even n >= 2, got {n}")
     adjacency = _empty_adjacency(n)
     m = n // 2

@@ -164,6 +164,40 @@ def test_seeds_are_refused_before_any_compute(monkeypatch, name, kwargs):
         run_experiment(name, **args)
 
 
+_TOY = {
+    "lln": dict(sizes=[15, 60], p=0.8, q=0.5, replicates=3),
+    "clt": dict(n=24, p=0.8, q=0.5, replicates=8, limit_samples=64),
+    "critical": dict(n=16, replicates=5),
+    "independence": dict(sizes=[24], p=0.8, q=0.5, replicates=10),
+}
+
+
+@pytest.mark.parametrize("name, keyword, value", [
+    ("lln", "replicates", 3.5),
+    ("lln", "replicates", True),
+    ("clt", "n_tracked", 2.5),
+    ("clt", "limit_samples", 64.5),
+    ("clt", "limit_samples", "64"),
+    ("independence", "m_vertices", 2.5),
+    ("critical", "complementary", "no"),
+    ("critical", "complementary", 1),
+], ids=["lln-replicates-float", "lln-replicates-bool", "clt-n-tracked-float",
+        "clt-limit-samples-float", "clt-limit-samples-string",
+        "independence-m-vertices-float", "complementary-a-string",
+        "complementary-an-int"])
+def test_counts_and_switches_are_typed_before_any_compute(monkeypatch, name,
+                                                          keyword, value):
+    for module_name in ("solve_mean_field", "sample_network",
+                        "build_complementary_network"):
+        monkeypatch.setattr(analysis, module_name, _no_compute)
+    for key in ("thinning", "time_change"):
+        monkeypatch.setitem(analysis._BACKENDS, key, _no_compute)
+    with pytest.raises(ParameterError) as info:
+        run_experiment(name, kernel=EXP, transfer=ARCTAN, horizon=1.0, seed=1,
+                       **dict(_TOY[name], **{keyword: value}))
+    assert info.value.keyword == keyword
+
+
 def test_tolerances_are_recorded_as_floats():
     # a (low, high) tuple is a band too
     assert analysis._tol({"ratio_band": (1, 9)})["ratio_band"] == [1.0, 9.0]

@@ -238,6 +238,12 @@ def test_complementary_requires_even_n():
         build_complementary_network(7, seed=1)
     with pytest.raises(ParameterError):
         build_complementary_network(0, seed=1)
+    # a size is an integer, even where numpy would take a float
+    for n in (10.0, 2.5, True, "10", None):
+        with pytest.raises(ParameterError, match="even n >= 2"):
+            build_complementary_network(n, seed=1)
+        with pytest.raises(ParameterError, match="^n must be an integer"):
+            sample_network(n, 0.5, 0.5, seed=1)
 
 
 def test_complementary_remaining_columns_are_random():
