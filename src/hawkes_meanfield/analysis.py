@@ -201,7 +201,7 @@ def _reverdict(report: ExperimentReport) -> list:
 def _backend(backend):
     try:
         return _BACKENDS[backend]
-    except KeyError:
+    except (KeyError, TypeError):  # unknown, or no key at all
         raise ParameterError(
             f"backend must be one of {sorted(_BACKENDS)}, got {backend!r}"
         ) from None
@@ -228,6 +228,8 @@ def _require_integer(keyword, value):
 
 
 def _require_sizes(sizes, least):
+    _need(isinstance(sizes, (list, tuple)), ParameterError, "sizes",
+          f"sizes must be a list of sizes, got {sizes!r}")
     for s in sizes:
         _require_integer("sizes", s)
     _need(len(sizes) >= least and all(s >= 1 for s in sizes)

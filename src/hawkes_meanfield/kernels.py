@@ -92,12 +92,20 @@ class Kernel:
         return float(self.nodes[-1])
 
 
+def _floats(x):
+    """x as a float array, or None where numpy reads no such array in it."""
+    try:
+        return np.asarray(x, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+
+
 def _table(what, nodes, values, from_zero=False):
     """Read-only float (nodes, values) of a tabulated `what`: >= 2 points,
     finite nodes rising strictly (from 0 if from_zero), finite values >= 0."""
-    nodes = np.asarray(nodes, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    if nodes.ndim != 1 or nodes.shape != values.shape or len(nodes) < 2:
+    nodes, values = _floats(nodes), _floats(values)
+    if (nodes is None or values is None or nodes.ndim != 1
+            or nodes.shape != values.shape or len(nodes) < 2):
         raise ContractError("need matching 1-d nodes/values with >= 2 points")
     if not np.all(np.isfinite(nodes)):
         raise ContractError("nodes must be finite")
@@ -223,8 +231,8 @@ def tabulated_transfer(nodes, values, deriv_values=None) -> TransferFunction:
     nodes, values = _table("transfer", nodes, values)
     dv = None
     if deriv_values is not None:
-        dv = np.asarray(deriv_values, dtype=np.float64)
-        if dv.shape != nodes.shape:
+        dv = _floats(deriv_values)
+        if dv is None or dv.shape != nodes.shape:
             raise ContractError("derivative table must match the nodes")
         dv.flags.writeable = False
     slopes = np.abs(np.diff(values) / np.diff(nodes))

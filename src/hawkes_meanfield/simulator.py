@@ -86,7 +86,11 @@ _MIN_ROWS = 16
 def _vertices(what, vertices, n=math.inf):
     """vertices as a tuple of ints, each an integer in 0..n-1 (any >= 0 if
     n = inf); ParameterError naming `what` otherwise."""
-    vertices = tuple(vertices)
+    try:
+        vertices = tuple(vertices)
+    except TypeError:
+        raise ParameterError(f"{what} indices must form a sequence, "
+                             f"got {vertices!r}") from None
     for v in vertices:
         if not (is_integer(v) and 0 <= v < n):
             raise ParameterError(f"{what} {v!r} outside 0..{n - 1}")

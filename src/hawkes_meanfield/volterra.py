@@ -70,7 +70,7 @@ def _resolve_grid(horizon, dt):
     if dt is None:
         m = 2048
     else:
-        if not (0.0 < dt <= horizon):
+        if not (is_real(dt) and 0.0 < dt <= horizon):
             raise ParameterError(f"dt must lie in (0, horizon], got {dt!r}")
         m = max(1, int(round(horizon / dt)))
     try:
