@@ -23,7 +23,10 @@ A run is described by one JSON document.  Example:
 
 Validation is strict: unknown keys are rejected with the dotted path of
 the offending field, so a typo like "modle" or "lamda" fails loudly
-instead of silently running the wrong experiment.  `validate_config`
+instead of silently running the wrong experiment.  The model and run keys
+are named once, in `_SECTIONS`.  The tolerance rule is not written here:
+`analysis._tol` owns it, for config and library calls alike, and a key
+it refuses is reported at tolerances.<key>.  `validate_config`
 returns an `ExperimentConfig` whose `resolved()` form fills in every
 default; feeding that form back through validation is a fixed point,
 which is what makes manifests replayable.  Each kernel and transfer kind
