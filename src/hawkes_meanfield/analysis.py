@@ -91,6 +91,8 @@ def _tol(overrides):
     known, values finite numbers >= 0, and ratio_band [low, high] with
     low < high; a refusal is a ParameterError keyed to the refused key."""
     tol = dict(DEFAULT_TOLERANCES)
+    _need(isinstance(overrides, (dict, type(None))), ParameterError,
+          "tolerances", f"tolerances must be a dict, got {overrides!r}")
     for key, value in (overrides or {}).items():
         _need(key in tol, ParameterError, key, f"unknown tolerance {key!r} "
               f"(allowed: {', '.join(sorted(tol))})")
@@ -228,8 +230,8 @@ def _require_integer(keyword, value):
 
 
 def _require_sizes(sizes, least):
-    _need(isinstance(sizes, (list, tuple)), ParameterError, "sizes",
-          f"sizes must be a list of sizes, got {sizes!r}")
+    _need(isinstance(sizes, (list, tuple, np.ndarray)), ParameterError,
+          "sizes", f"sizes must be a list of sizes, got {sizes!r}")
     for s in sizes:
         _require_integer("sizes", s)
     _need(len(sizes) >= least and all(s >= 1 for s in sizes)
@@ -290,7 +292,7 @@ def _experiment(name, build, call):
         _check_seed(call["net_seed"], "net_seed")
     entry.contract(**call)
     run = _backend(call["backend"])
-    tol = _pure(_tol(call.pop("tolerances")))
+    tol = _tol(call.pop("tolerances"))
     if "sizes" in call:
         call["sizes"] = [int(n) for n in call["sizes"]]
     if entry.scaling == "critical":

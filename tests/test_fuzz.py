@@ -71,7 +71,8 @@ _SIMULATION = dict(horizon=0.5, seed=1, scaling="mean_field", dt=0.125,
 
 # entry point -> (call, the keyword arguments of one valid toy call)
 ENTRIES = {
-    "lln": _experiment("lln", sizes=[6, 12], p=0.8, q=0.5, replicates=3),
+    "lln": _experiment("lln", sizes=[6, 12], p=0.8, q=0.5, replicates=3,
+                       tolerances={}),
     "lln-tolerances": (_lln_with_tolerances,
                        {"mean_zero_se": 3.0, "ratio_band": [2.0, 8.0]}),
     "clt": _experiment("clt", n=6, p=0.8, q=0.5, replicates=8, n_tracked=2,
