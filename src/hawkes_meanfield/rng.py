@@ -52,8 +52,9 @@ OUTPUT_REVISION = 1
 def _check_seed(seed, name="seed"):
     """The one seed rule: an integer >= 0, a numpy one too, but no bool.
 
-    stream checks the seed of every generator (25,209 in one benchmark
-    call), so the check stays one isinstance and one compare.
+    stream checks the seed of every generator (25,209 of them in one call
+    of the lln_timechange workload), so the check stays one isinstance and
+    one compare.
     """
     if not (is_integer(seed) and seed >= 0):
         raise ParameterError(f"{name} must be an integer >= 0, got {seed!r}")
