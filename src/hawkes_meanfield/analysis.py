@@ -280,10 +280,10 @@ def _experiment(name, build, call):
     """The report of experiment `name` on `call`, its function's arguments.
 
     Model, seeds, contract, backend and tolerances come first: a refused
-    run computes nothing.  build(replicated, **call) returns the tables, running
-    replicated(reduce, sizes=..., **record): _replicates bound to this
-    call's seed, replicates, model and grid.  In the mean-field regime
-    call also carries the solved mean_path.
+    run computes nothing.  build(replicated, **call) returns the tables,
+    running replicated(reduce, sizes=..., **record): _replicates bound to
+    this call's seed, replicates, model and grid.  In the mean-field
+    regime call also carries the solved mean_path.
     """
     entry = _EXPERIMENTS[name]
     _check_pq(call.get("p", 0.5), call["q"])

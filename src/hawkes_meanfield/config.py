@@ -109,7 +109,7 @@ def _mapping(obj, path):
 
 
 def _keys(obj, path, keys):
-    """Refuse a key of obj outside keys, then a required (True) one it lacks."""
+    """Refuse keys of obj outside keys, then required (True) ones it lacks."""
     for key in obj:
         if key not in keys:
             _fail(f"{path}.{key}" if path else key,

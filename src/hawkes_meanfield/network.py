@@ -77,7 +77,8 @@ def _check_n(n):
 def _check_pq(p, q):
     """The one p/q rule: both are real numbers in [0, 1]."""
     if not all(is_real(x) and 0.0 <= x <= 1.0 for x in (p, q)):
-        raise ParameterError(f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
+        raise ParameterError(
+            f"p and q must lie in [0, 1], got p={p!r}, q={q!r}")
 
 
 @dataclass(frozen=True)

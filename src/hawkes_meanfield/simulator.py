@@ -59,7 +59,8 @@ from .errors import (
 )
 from .kernels import Kernel, TransferFunction, convolve_with_path
 from .network import NetworkConfiguration, row_blocks
-from .rng import ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, _check_seed, stream
+from .rng import (ACCEPT, CANDIDATES, TIMECHANGE, VERTEX_PICK, _check_seed,
+                  stream)
 from .volterra import _check_horizon, _resolve_grid
 
 __all__ = [

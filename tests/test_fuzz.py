@@ -3,10 +3,11 @@
 Each example starts from a valid toy call of one entry point and replaces
 one of its scalar or list arguments, or one entry of a list, with an
 invalid value: None, a string, NaN, +-inf, a negative number, a
-non-integral float, a bool, or an empty or nested list.  The call must return or raise a ToolkitError; any other
-exception is a fault in the rule that owns the argument.  Kernel and
-transfer objects are left alone, and so are valid but large values (a long
-horizon, a fine grid, a big network), which only measure memory.
+non-integral float, a bool, or an empty or nested list.  The call must
+return or raise a ToolkitError; any other exception is a fault in the rule
+that owns the argument.  Kernel and transfer objects are left alone, and
+so are valid but large values (a long horizon, a fine grid, a big
+network), which only measure memory.
 
 The examples are derandomized and their count is fixed, so every run
 draws the same calls.
