@@ -282,11 +282,13 @@ def _experiment(name, build, call):
     Model, seeds, contract, backend and tolerances come first: a refused
     run computes nothing.  build(replicated, **call) returns the tables,
     running replicated(reduce, sizes=..., **record): _replicates bound to
-    this call's seed, replicates, model and grid.  In the mean-field
-    regime call also carries the solved mean_path.
+    this call's seed, replicates, regime, model and grid.  In the
+    mean-field regime call also carries the solved mean_path.
     """
     entry = _EXPERIMENTS[name]
-    _check_pq(call.get("p", 0.5), call["q"])
+    if entry.scaling == "critical":
+        call["p"] = 0.5
+    _check_pq(call["p"], call["q"])
     _check_seed(call["seed"])
     if call.get("net_seed") is not None:
         _check_seed(call["net_seed"], "net_seed")
@@ -295,8 +297,6 @@ def _experiment(name, build, call):
     tol = _tol(call.pop("tolerances"))
     if "sizes" in call:
         call["sizes"] = [int(n) for n in call["sizes"]]
-    if entry.scaling == "critical":
-        call["p"] = 0.5
     params = _pure(dict(call, kernel=call["kernel"].kind,
                         transfer=call["transfer"].kind))
     params.pop("net_seed", None)  # complementary tables record the seed
@@ -305,7 +305,8 @@ def _experiment(name, build, call):
     if entry.scaling == "mean_field":
         call["mean_path"] = solve_mean_field(**model)
     replicated = functools.partial(_replicates, run, seed=call["seed"],
-                                   replicates=call["replicates"], **model)
+                                   replicates=call["replicates"],
+                                   scaling=entry.scaling, **model)
     tables = _pure(build(replicated, **call))
     return ExperimentReport(name, params, tol, tables,
                             entry.verdicts(tables, tol))
@@ -778,8 +779,8 @@ def _critical_tables(replicated, *, n, q, horizon, replicates, seed,
             net_seed = replicate_seed(seed, 1 << 20)
         fixed_net = build_complementary_network(n, net_seed)
     reps = replicated(functools.partial(_critical_reduce, horizon),
-                      sizes=[n], net=fixed_net, scaling="critical",
-                      tracked_vertices=(), martingale_vertices=(0, 1))[0]
+                      sizes=[n], net=fixed_net, tracked_vertices=(),
+                      martingale_vertices=(0, 1))[0]
     series = {name: [rep["series"][name] for rep in reps]
               for name in _CRITICAL_SERIES}
     tables = {

@@ -56,6 +56,7 @@ from .analysis import _BACKENDS, _EXPERIMENTS, _tol
 from .errors import ConfigError, ParameterError, ToolkitError
 from .kernels import (arctan_transfer, constant_transfer, exponential_kernel,
                       tabulated_kernel, tabulated_transfer)
+from .simulator import SCALINGS
 
 __all__ = [
     "ExperimentConfig",
@@ -66,7 +67,6 @@ __all__ = [
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 BACKENDS = tuple(_BACKENDS)
-SCALINGS = ("mean_field", "critical")
 
 # the model and run keys (True: required), each an ExperimentConfig field
 _SECTIONS = {

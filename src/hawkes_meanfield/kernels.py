@@ -62,14 +62,10 @@ class Kernel:
         arr = np.asarray(t, dtype=np.float64)
         if np.any(arr < 0.0):
             raise DomainError("kernel evaluation needs t >= 0")
-        if self.is_exponential:
-            out = np.exp(-self.rate * arr)
-        else:
-            if np.any(arr > self.nodes[-1]):
-                raise DomainError(
-                    f"tabulated kernel is defined up to t={self.nodes[-1]!r}"
-                )
-            out = np.interp(arr, self.nodes, self.values)
+        if not self.is_exponential and np.any(arr > self.nodes[-1]):
+            raise DomainError(
+                f"tabulated kernel is defined up to t={self.nodes[-1]!r}")
+        out = self.padded(arr)
         return float(out) if np.isscalar(t) else out
 
     def padded(self, lags: np.ndarray) -> np.ndarray:

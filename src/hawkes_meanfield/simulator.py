@@ -82,6 +82,8 @@ _BLOCK = 8192
 # _MIN_ROWS grid points per block, so a large N still flushes in batches
 _COLUMN_ITEMS = 1 << 12
 _MIN_ROWS = 16
+# the synaptic weight regimes: theta = 1/N and theta = 1/sqrt(N)
+SCALINGS = ("mean_field", "critical")
 
 
 def _vertices(what, vertices, n=math.inf):
@@ -141,10 +143,10 @@ class SimulationConfig:
     def __post_init__(self):
         _check_horizon(self.horizon)
         _check_seed(self.seed)
-        if self.scaling not in ("mean_field", "critical"):
-            raise ParameterError(
-                f"scaling must be 'mean_field' or 'critical', got {self.scaling!r}"
-            )
+        if self.scaling not in SCALINGS:
+            raise ParameterError(f"scaling must be "
+                                 f"{' or '.join(map(repr, SCALINGS))}, "
+                                 f"got {self.scaling!r}")
         object.__setattr__(self, "tracked_vertices", _vertices(
             "tracked vertex", self.tracked_vertices))
         if self.martingale_vertices is not None:
@@ -467,7 +469,7 @@ def _setup(net, kernel, transfer, cfg):
             f"track specific vertices instead"
         )
     horizon = float(cfg.horizon)
-    grid, _ = _resolve_grid(horizon, cfg.dt)
+    grid = _resolve_grid(horizon, cfg.dt)
     coef = cfg.theta(net.n) * net.signs.astype(np.float64)
     if not kernel.is_exponential:
         return (horizon, grid) + _windowed_history(

@@ -66,7 +66,7 @@ def _check_horizon(horizon):
 def _resolve_grid(horizon, dt):
     horizon = _check_horizon(horizon)
     if horizon == 0.0:
-        return np.zeros(1), 0
+        return np.zeros(1)
     if dt is None:
         m = 2048
     else:
@@ -74,7 +74,7 @@ def _resolve_grid(horizon, dt):
             raise ParameterError(f"dt must lie in (0, horizon], got {dt!r}")
         m = max(1, int(round(horizon / dt)))
     try:
-        return np.linspace(0.0, horizon, m + 1), m
+        return np.linspace(0.0, horizon, m + 1)
     except (ValueError, MemoryError) as exc:
         raise ParameterError(f"cannot allocate a grid of {m + 1} points "
                              f"({8 * (m + 1) / 2**30:.3g} GiB): {exc}") from exc
@@ -92,13 +92,13 @@ def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,
     kernel.
     """
     _check_pq(p, q)
-    grid, m = _resolve_grid(horizon, dt)
+    grid = _resolve_grid(horizon, dt)
     c = (2.0 * p - 1.0) * q
     if scheme not in ("volterra_trapezoid", "ode_rk4"):
         raise SchemeMismatchError(f"unknown scheme {scheme!r}")
     if scheme == "ode_rk4" and not kernel.is_exponential:
         raise SchemeMismatchError("ode_rk4 applies to exponential kernels only")
-    if m == 0 or c == 0.0:
+    if len(grid) == 1 or c == 0.0:
         return IntensityPath(grid=grid, values=np.zeros_like(grid))
     if scheme == "ode_rk4":
         values = _rk4(kernel.rate, transfer, c, grid)
