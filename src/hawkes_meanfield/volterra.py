@@ -64,20 +64,20 @@ def _check_horizon(horizon):
 
 
 def _resolve_grid(horizon, dt):
+    """The uniform grid 0, ..., horizon of about horizon / dt steps."""
     horizon = _check_horizon(horizon)
     if horizon == 0.0:
         return np.zeros(1)
-    if dt is None:
-        m = 2048
-    else:
-        if not (is_real(dt) and 0.0 < dt <= horizon):
-            raise ParameterError(f"dt must lie in (0, horizon], got {dt!r}")
-        m = max(1, int(round(horizon / dt)))
+    if dt is not None and not (is_real(dt) and 0.0 < dt <= horizon):
+        raise ParameterError(f"dt must lie in (0, horizon], got {dt!r}")
+    # horizon / dt >= 1, and inf for a subnormal dt
+    steps = 2048 if dt is None else horizon / dt
     try:
-        return np.linspace(0.0, horizon, m + 1)
-    except (ValueError, MemoryError) as exc:
-        raise ParameterError(f"cannot allocate a grid of {m + 1} points "
-                             f"({8 * (m + 1) / 2**30:.3g} GiB): {exc}") from exc
+        return np.linspace(0.0, horizon, round(steps) + 1)
+    except (ValueError, MemoryError, OverflowError) as exc:
+        points = round(steps) + 1 if steps < math.inf else steps
+        raise ParameterError(f"cannot allocate a grid of {points} points "
+                             f"({8 * points / 2**30:.3g} GiB): {exc}") from exc
 
 
 def solve_mean_field(kernel: Kernel, transfer: TransferFunction, p: float,

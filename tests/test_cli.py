@@ -739,10 +739,11 @@ def test_undecodable_json_is_a_config_error(tmp_path, capsys, command):
     assert len(err.splitlines()) == 1
 
 
-# each shape is refused by numpy before anything is allocated
+# each shape is refused before anything is allocated
 @pytest.mark.parametrize("command, section, key, value", [
     ("simulate", "model", "n", 10 ** 10),
     ("meanfield", "run", "dt", 1e-20),
+    ("meanfield", "run", "dt", 5e-324),
 ])
 def test_unallocatable_runs_exit_two(tmp_path, capsys, command, section, key,
                                      value):

@@ -38,11 +38,12 @@ NET = sample_network(6, 0.8, 0.5, seed=3)
 RECORDED = simulate_thinning(NET, EXP, ARCTAN, SimulationConfig(
     horizon=0.5, seed=4, dt=0.125, record_full=True))
 
-# invalid for every argument below; the positive non-integral floats are
-# few and small, so none is a valid but large horizon or a fine grid
+# invalid for every argument below but 5e-324, the least positive float,
+# whose dt overflows the step count; the other positive non-integral floats
+# are few and small, so none is a valid but large horizon or a fine grid
 INVALID = st.one_of(
     st.sampled_from([None, "", "2", math.nan, math.inf, -math.inf, True,
-                     False, [], [[0]], [1, [2]], 0.5, 1.5, 2.5]),
+                     False, [], [[0]], [1, [2]], 0.5, 1.5, 2.5, 5e-324]),
     st.integers(max_value=-1),
     st.floats(max_value=-1e-300),
 )

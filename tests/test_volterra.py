@@ -9,6 +9,8 @@ from hawkes_meanfield.errors import (ParameterError,
                                      SchemeMismatchError, StepSizeError)
 from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
                                       exponential_kernel, tabulated_kernel)
+from hawkes_meanfield.network import sample_network
+from hawkes_meanfield.simulator import SimulationConfig, simulate_thinning
 from hawkes_meanfield.volterra import (cross_validate_schemes, fixed_point,
                                        solve_mean_field)
 
@@ -121,6 +123,16 @@ def test_unallocatable_grid_is_a_parameter_error():
     # 10^20 + 1 points overflow numpy's size limit before any allocation
     with pytest.raises(ParameterError, match="grid of 100000000000000000001"):
         solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 1.0, dt=1e-20)
+
+
+def test_an_overflowing_step_count_is_a_parameter_error():
+    # a subnormal dt lies in (0, horizon], but horizon / dt overflows to inf
+    with pytest.raises(ParameterError, match="grid of inf points"):
+        solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 2.0, 5e-324)
+    net = sample_network(5, 0.8, 0.5, seed=1)
+    cfg = SimulationConfig(horizon=2.0, seed=1, dt=5e-324)
+    with pytest.raises(ParameterError, match="grid of inf points"):
+        simulate_thinning(net, EXP, ARCTAN, cfg)
 
 
 def test_zero_horizon():
