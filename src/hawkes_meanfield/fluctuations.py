@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DerivativeUnavailableError, ParameterError
+from .errors import (ContractError, DerivativeUnavailableError,
+                     ParameterError, is_integer)
 from .kernels import Kernel, TransferFunction
 from .network import _check_pq
 from .rng import FLUCT, stream
@@ -69,10 +70,18 @@ class FluctuationSample:
     db_tilde: np.ndarray      # (n, M)
 
 
+def _check_count(name, value, least):
+    """A count is an integer >= least: no float, even an integral one, and
+    no bool."""
+    if not is_integer(value):
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}")
+
+
 def _check_inputs(mean_path, transfer, p, q, n_vertices):
     _check_pq(p, q)
-    if n_vertices < 0:
-        raise ParameterError("n_vertices must be >= 0")
+    _check_count("n_vertices", n_vertices, 0)
     if not transfer.has_derivative:
         raise DerivativeUnavailableError(
             "the fluctuation drift needs h'; supply a transfer with a "
@@ -171,6 +180,7 @@ def simulate_fluctuations(mean_path: IntensityPath, kernel: Kernel,
     no randomness at all.
     """
     _check_inputs(mean_path, transfer, p, q, n_vertices)
+    _check_count("sample_index", sample_index, 0)
     m = len(mean_path.grid) - 1
     if drivers is None:
         w, w_tilde, db, db_tilde = _draw_chunk(seed, [sample_index],
@@ -205,8 +215,8 @@ def sample_terminal_fluctuations(mean_path: IntensityPath, kernel: Kernel,
     kbar (S,), k (S, n), w (S,), w_tilde (S, n).
     """
     _check_inputs(mean_path, transfer, p, q, n_vertices)
-    if n_samples < 1:
-        raise ParameterError("n_samples must be >= 1")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("chunk", chunk, 1)
     m = len(mean_path.grid) - 1
     kbar = np.empty(n_samples)
     k = np.empty((n_samples, n_vertices))

@@ -21,6 +21,7 @@ from .errors import (
     DerivativeUnavailableError,
     DomainError,
     ParameterError,
+    is_real,
 )
 
 __all__ = [
@@ -117,7 +118,7 @@ def _table(what, nodes, values, from_zero=False):
 
 def exponential_kernel(rate: float) -> Kernel:
     """phi(u) = exp(-rate * u) with phi(0) = 1; rate > 0."""
-    if not (rate > 0.0) or not math.isfinite(rate):
+    if not (is_real(rate) and 0.0 < rate < math.inf):
         raise ParameterError(f"exponential kernel needs rate > 0, got {rate!r}")
     return Kernel(kind="exponential", rate=float(rate), sup_norm=1.0,
                   deriv_sup=float(rate), l1_norm=1.0 / float(rate))
@@ -212,7 +213,7 @@ def arctan_transfer() -> TransferFunction:
 
 def constant_transfer(value: float) -> TransferFunction:
     """h == value >= 0; decouples the rate from the input entirely."""
-    if not (value >= 0.0) or not math.isfinite(value):
+    if not (is_real(value) and 0.0 <= value < math.inf):
         raise ParameterError(f"constant transfer needs value >= 0, got {value!r}")
     return TransferFunction(kind="constant", sup_norm=float(value), lipschitz=0.0,
                             second_deriv_sup=0.0, value=float(value))
@@ -286,6 +287,6 @@ def convolution_bound_constant(kernel: Kernel, horizon: float) -> float:
     t * rate >= 3.  The randomized battery asserts zero violations of the
     squared form at that calibration.
     """
-    if horizon < 0.0:
+    if not is_real(horizon) or horizon < 0.0:
         raise DomainError("horizon must be non-negative")
     return kernel.sup_norm + horizon * kernel.deriv_sup

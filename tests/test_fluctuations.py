@@ -206,6 +206,34 @@ def test_grid_contract_violations():
                               seed=1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda path: simulate_fluctuations(path, EXP, ARCTAN, 0.8, 0.5, 2.5,
+                                        seed=1),
+     "n_vertices must be an integer, got 2.5"),
+    (lambda path: simulate_fluctuations(path, EXP, ARCTAN, 0.8, 0.5, 1,
+                                        seed=1, sample_index=-1),
+     "sample_index must be >= 0"),
+    (lambda path: simulate_fluctuations(path, EXP, ARCTAN, 0.8, 0.5, 1,
+                                        seed=1, sample_index=1.5),
+     "sample_index must be an integer, got 1.5"),
+    (lambda path: sample_terminal_fluctuations(
+        path, EXP, ARCTAN, 0.8, 0.5, 1, n_samples=4, seed=1, chunk=0),
+     "chunk must be >= 1"),
+    (lambda path: sample_terminal_fluctuations(
+        path, EXP, ARCTAN, 0.8, 0.5, 1, n_samples=2.5, seed=1),
+     "n_samples must be an integer, got 2.5"),
+    (lambda path: sample_terminal_fluctuations(
+        path, EXP, ARCTAN, 0.8, 0.5, 1, n_samples=0, seed=1),
+     "n_samples must be >= 1"),
+    (lambda path: terminal_covariance(path, EXP, ARCTAN, 0.8, 0.5, None),
+     "n_vertices must be an integer, got None"),
+], ids=["n_vertices", "sample_index", "sample_index-float", "chunk",
+        "n_samples-float", "n_samples", "covariance-n_vertices"])
+def test_counts_are_integers_in_range(call, message):
+    with pytest.raises(ParameterError, match=f"^{message}$"):
+        call(_coarse_path(m=4))
+
+
 def test_terminal_covariance_structure():
     # K^j = Kbar + sqrt(q(1-q)) S^j with S^j independent across j and of
     # Kbar, so every off-diagonal entry of Cov(Kbar, K^1, K^2) estimates

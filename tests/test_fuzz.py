@@ -22,8 +22,13 @@ from hypothesis import strategies as st
 
 from hawkes_meanfield.analysis import run_experiment
 from hawkes_meanfield.errors import ToolkitError
-from hawkes_meanfield.kernels import (arctan_transfer, exponential_kernel,
-                                      tabulated_kernel, tabulated_transfer)
+from hawkes_meanfield.fluctuations import (sample_terminal_fluctuations,
+                                           simulate_fluctuations,
+                                           terminal_covariance)
+from hawkes_meanfield.kernels import (arctan_transfer, constant_transfer,
+                                      convolution_bound_constant,
+                                      exponential_kernel, tabulated_kernel,
+                                      tabulated_transfer)
 from hawkes_meanfield.network import (build_complementary_network,
                                       sample_network)
 from hawkes_meanfield.simulator import (SimulationConfig,
@@ -37,6 +42,7 @@ ARCTAN = arctan_transfer()
 NET = sample_network(6, 0.8, 0.5, seed=3)
 RECORDED = simulate_thinning(NET, EXP, ARCTAN, SimulationConfig(
     horizon=0.5, seed=4, dt=0.125, record_full=True))
+PATH = solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 0.5, dt=0.125)
 
 # invalid for every argument below but 5e-324, the least positive float,
 # whose dt overflows the step count; the other positive non-integral floats
@@ -99,6 +105,20 @@ ENTRIES = {
     "solve_mean_field": (functools.partial(solve_mean_field, EXP, ARCTAN),
                          dict(p=0.8, q=0.5, horizon=1.0, dt=0.125,
                               scheme="volterra_trapezoid")),
+    "simulate_fluctuations": (
+        functools.partial(simulate_fluctuations, PATH, EXP, ARCTAN),
+        dict(p=0.8, q=0.5, n_vertices=2, seed=1, sample_index=0)),
+    "sample_terminal_fluctuations": (
+        functools.partial(sample_terminal_fluctuations, PATH, EXP, ARCTAN),
+        dict(p=0.8, q=0.5, n_vertices=2, n_samples=3, seed=1, chunk=2)),
+    "terminal_covariance": (
+        functools.partial(terminal_covariance, PATH, EXP, ARCTAN),
+        dict(p=0.8, q=0.5, n_vertices=2)),
+    "exponential_kernel": (exponential_kernel, dict(rate=2.0)),
+    "constant_transfer": (constant_transfer, dict(value=1.0)),
+    "convolution_bound_constant": (
+        functools.partial(convolution_bound_constant, EXP),
+        dict(horizon=1.0)),
     "tabulated_kernel": (tabulated_kernel,
                          dict(nodes=[0.0, 0.5, 1.0], values=[1.0, 0.5, 0.0])),
     "tabulated_transfer": (tabulated_transfer,

@@ -192,6 +192,15 @@ def test_bound_constant_value():
         convolution_bound_constant(exponential_kernel(1.0), -1.0)
 
 
+def test_scalar_constructors_refuse_what_is_not_a_number():
+    with pytest.raises(ParameterError, match="needs rate > 0, got 'x'"):
+        exponential_kernel("x")
+    with pytest.raises(ParameterError, match="needs value >= 0, got None"):
+        constant_transfer(None)
+    with pytest.raises(DomainError, match="^horizon must be non-negative$"):
+        convolution_bound_constant(exponential_kernel(1.0), "1")
+
+
 def test_squared_convolution_bound_on_random_jump_paths():
     """sup (phi*dJ)^2 <= (||phi|| + t ||phi'||) sup J^2, zero violations.
 
