@@ -32,6 +32,8 @@ def test_kernel_rejects_negative_times_and_rates():
         exponential_kernel(0.0)
     with pytest.raises(ParameterError):
         exponential_kernel(-2.0)
+    with pytest.raises(ParameterError, match="needs rate > 0, got 'x'"):
+        exponential_kernel("x")
 
 
 def test_tabulated_kernel_interpolates():
@@ -127,6 +129,8 @@ def test_constant_transfer():
     assert h.lipschitz == 0.0
     with pytest.raises(ParameterError):
         constant_transfer(-1.0)
+    with pytest.raises(ParameterError, match="needs value >= 0, got None"):
+        constant_transfer(None)
 
 
 def test_tabulated_transfer_clamps_and_derivative_contract():
@@ -190,13 +194,6 @@ def test_bound_constant_value():
     assert convolution_bound_constant(exponential_kernel(1.0), 5.0) == 6.0
     with pytest.raises(DomainError):
         convolution_bound_constant(exponential_kernel(1.0), -1.0)
-
-
-def test_scalar_constructors_refuse_what_is_not_a_number():
-    with pytest.raises(ParameterError, match="needs rate > 0, got 'x'"):
-        exponential_kernel("x")
-    with pytest.raises(ParameterError, match="needs value >= 0, got None"):
-        constant_transfer(None)
     with pytest.raises(DomainError, match="^horizon must be non-negative$"):
         convolution_bound_constant(exponential_kernel(1.0), "1")
 

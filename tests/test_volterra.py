@@ -123,9 +123,6 @@ def test_unallocatable_grid_is_a_parameter_error():
     # 10^20 + 1 points overflow numpy's size limit before any allocation
     with pytest.raises(ParameterError, match="grid of 100000000000000000001"):
         solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 1.0, dt=1e-20)
-
-
-def test_an_overflowing_step_count_is_a_parameter_error():
     # a subnormal dt lies in (0, horizon], but horizon / dt overflows to inf
     with pytest.raises(ParameterError, match="grid of inf points"):
         solve_mean_field(EXP, ARCTAN, 0.8, 0.5, 2.0, 5e-324)
